@@ -16,16 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
-
-import numpy as np
+from functools import cached_property, reduce
+from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
 from . import oracle
 from .states import (
     PseudoPureParams,
     WernerParams,
-    build_isotropic,
     build_pseudo_pure,
     build_werner,
     isotropic_params,
@@ -38,12 +38,85 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VIOLATION = 4
 
-ALL_MEASURES = ("discord", "cc", "mi", "gd", "negativity", "eof", "asymptote")
-WERNER_MEASURES = frozenset({"discord", "cc", "mi", "eof", "asymptote"})
-PP_MEASURES = frozenset({"discord", "cc", "mi", "gd", "negativity", "asymptote"})
-NUMERIC_MEASURES = frozenset({"discord", "cc", "mi", "gd", "negativity"})
+# Largest parameter grid sweep and oracle-compare accept, checked before building it.
+MAX_GRID_POINTS = 10**6
 
 CSV_HEADER = "family,d,param_name,param_value,measure,value,method"
+
+
+class OraclePoint:
+    """One state and optimizer setting; the discord optimisation runs at most once."""
+
+    def __init__(self, rho, cfg: oracle.OptimizerConfig):
+        self.rho = rho
+        self.cfg = cfg
+
+    @cached_property
+    def discord(self) -> float:
+        return oracle.discord_numeric(self.rho, self.cfg)
+
+
+class Measure(NamedTuple):
+    """The routes to one measure; a route the measure lacks is None.
+
+    `werner` takes a WernerParams, `pp` a PseudoPureParams (isotropic states
+    included) and `oracle` an OraclePoint. Each route looks its library
+    function up when called, so wrapped or patched functions are the ones run.
+    """
+
+    werner: Callable[[WernerParams], float] | None
+    pp: Callable[[PseudoPureParams], float] | None
+    oracle: Callable[[OraclePoint], float] | None
+    tolerance: float = 1e-6  # largest closed-vs-oracle gap oracle-compare accepts
+
+
+MEASURES = {
+    "discord": Measure(
+        lambda p: cf.werner_discord(p.d, p.lam),
+        lambda p: cf.pp_discord(p),
+        lambda pt: pt.discord,
+    ),
+    "cc": Measure(
+        lambda p: cf.werner_classical_correlations(p.d, p.lam),
+        lambda p: cf.pp_classical_correlations(p),
+        lambda pt: oracle.mutual_information_numeric(pt.rho) - pt.discord,
+    ),
+    "mi": Measure(
+        lambda p: cf.werner_mutual_information(p.d, p.lam),
+        lambda p: cf.pp_mutual_information(p),
+        lambda pt: oracle.mutual_information_numeric(pt.rho),
+    ),
+    "gd": Measure(None, lambda p: cf.pp_gd(p), lambda pt: oracle.gd_numeric(pt.rho, pt.cfg)),
+    "negativity": Measure(
+        None, lambda p: cf.pp_negativity(p), lambda pt: oracle.negativity_numeric(pt.rho),
+        tolerance=1e-9,
+    ),
+    "eof": Measure(lambda p: cf.werner_eof(p.lam), None, None),
+    "asymptote": Measure(
+        lambda p: cf.werner_discord_asymptote(p.lam),
+        lambda p: cf.pp_discord_asymptote(p.alpha, p.schmidt),
+        None,
+    ),
+}
+
+
+def _closed_fn(family: str, measure: str):
+    """The closed form of `measure` for `family`, or None if it has none."""
+    entry = MEASURES[measure]
+    return entry.werner if family == "werner" else entry.pp
+
+
+def _params(family: str, d: int, value: float, u):
+    """The validated parameter record of one (d, value) point."""
+    if family == "werner":
+        return WernerParams(d, value)
+    if family == "isotropic":
+        return isotropic_params(d, value)
+    return PseudoPureParams(d, value, u)
+
+
+def _state(family: str, params):
+    return build_werner(params) if family == "werner" else build_pseudo_pure(params)
 
 
 def _fmt(value: float) -> str:
@@ -55,9 +128,9 @@ def _parse_measures(text: str) -> list[str]:
     if not names:
         raise argparse.ArgumentTypeError("no measures given")
     for name in names:
-        if name not in ALL_MEASURES:
+        if name not in MEASURES:
             raise argparse.ArgumentTypeError(
-                f"unknown measure {name!r}; choose from {', '.join(ALL_MEASURES)}"
+                f"unknown measure {name!r}; choose from {', '.join(MEASURES)}"
             )
     return names
 
@@ -79,75 +152,30 @@ def _parse_float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
 
 
-def _schmidt_vector(args) -> np.ndarray:
-    if args.normalize:
-        return normalized_schmidt(args.schmidt)
-    return np.asarray(args.schmidt, dtype=float)
+def _schmidt_vector(args):
+    if args.schmidt is None or not args.normalize:
+        return args.schmidt
+    return normalized_schmidt(args.schmidt)
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("grid start, stop and step must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
     if start > stop:
         raise ValueError("grid start must not exceed stop")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [min(start + i * step, stop) for i in range(count)]
-
-
-def _family_measures(family: str) -> frozenset[str]:
-    return WERNER_MEASURES if family == "werner" else PP_MEASURES
+    intervals = (stop - start) / step + 1e-9
+    if intervals >= MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+    return [min(start + i * step, stop) for i in range(int(intervals) + 1)]
 
 
 def _check_measures(family: str, measures: list[str]) -> None:
-    bad = [m for m in measures if m not in _family_measures(family)]
+    bad = [m for m in measures if _closed_fn(family, m) is None]
     if bad:
-        raise ValueError(
-            f"measure(s) {', '.join(bad)} have no closed form for family {family!r}"
-        )
-
-
-def _closed_value(family: str, measure: str, d: int, value: float, u) -> float:
-    if family == "werner":
-        return {
-            "discord": lambda: cf.werner_discord(d, value),
-            "cc": lambda: cf.werner_classical_correlations(d, value),
-            "mi": lambda: cf.werner_mutual_information(d, value),
-            "eof": lambda: cf.werner_eof(value),
-            "asymptote": lambda: cf.werner_discord_asymptote(value),
-        }[measure]()
-    params = (
-        isotropic_params(d, value)
-        if family == "isotropic"
-        else PseudoPureParams(d, value, u)
-    )
-    return {
-        "discord": lambda: cf.pp_discord(params),
-        "cc": lambda: cf.pp_classical_correlations(params),
-        "mi": lambda: cf.pp_mutual_information(params),
-        "gd": lambda: cf.pp_gd(params),
-        "negativity": lambda: cf.pp_negativity(params),
-        "asymptote": lambda: cf.pp_discord_asymptote(params.alpha, params.schmidt),
-    }[measure]()
-
-
-def _build_state(family: str, d: int, value: float, u):
-    if family == "werner":
-        return build_werner(WernerParams(d, value))
-    if family == "isotropic":
-        return build_isotropic(d, value)
-    return build_pseudo_pure(PseudoPureParams(d, value, u))
-
-
-def _numeric_value(measure: str, rho, cfg: oracle.OptimizerConfig) -> float:
-    if measure == "discord":
-        return oracle.discord_numeric(rho, cfg)
-    if measure == "cc":
-        return oracle.mutual_information_numeric(rho) - oracle.discord_numeric(rho, cfg)
-    if measure == "mi":
-        return oracle.mutual_information_numeric(rho)
-    if measure == "gd":
-        return oracle.gd_numeric(rho, cfg)
-    return oracle.negativity_numeric(rho)
+        raise ValueError(f"measure(s) {', '.join(bad)} have no closed form "
+                         f"for family {family!r}")
 
 
 def _param_name(family: str) -> str:
@@ -155,13 +183,10 @@ def _param_name(family: str) -> str:
 
 
 def _param_value(args) -> float:
-    if args.family == "werner":
-        if args.lam is None:
-            raise ValueError("family werner requires --lambda")
-        return args.lam
-    if args.alpha is None:
-        raise ValueError(f"family {args.family} requires --alpha")
-    return args.alpha
+    value = args.lam if args.family == "werner" else args.alpha
+    if value is None:
+        raise ValueError(f"family {args.family} requires --{_param_name(args.family)}")
+    return value
 
 
 def _require_schmidt(parser: argparse.ArgumentParser, args) -> None:
@@ -179,22 +204,16 @@ def _write(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _records_csv(records: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    rec["family"],
-                    str(rec["d"]),
-                    rec["param_name"],
-                    _fmt(rec["param_value"]),
-                    rec["measure"],
-                    _fmt(rec["value"]),
-                    rec["method"],
-                ]
-            )
-        )
+def _record(family: str, d: int, value: float, measure: str, result: float, method: str):
+    """One output row, its fields in CSV_HEADER order."""
+    return (family, d, _param_name(family), value, measure, result, method)
+
+
+def _records_csv(records: list[tuple]) -> str:
+    lines = [CSV_HEADER] + [
+        ",".join([family, str(d), name, _fmt(value), measure, _fmt(result), method])
+        for family, d, name, value, measure, result, method in records
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -204,42 +223,19 @@ def _records_csv(records: list[dict]) -> str:
 
 def cmd_compute(parser, args) -> int:
     _require_schmidt(parser, args)
-    value = _param_value(args)
-    _check_measures(args.family, args.measures)
-    u = _schmidt_vector(args) if args.family == "pp" else None
-    name = _param_name(args.family)
-    records = []
-    for measure in args.measures:
-        records.append(
-            {
-                "family": args.family,
-                "d": args.d,
-                "param_name": name,
-                "param_value": value,
-                "measure": measure,
-                "value": _closed_value(args.family, measure, args.d, value, u),
-                "method": "closed",
-            }
-        )
+    family, value = args.family, _param_value(args)
+    _check_measures(family, args.measures)
+    params = _params(family, args.d, value, _schmidt_vector(args))
+    records = [_record(family, args.d, value, m, _closed_fn(family, m)(params), "closed")
+               for m in args.measures]
     if args.numeric:
-        rho = _build_state(args.family, args.d, value, u)
         cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
-        for measure in args.measures:
-            if measure not in NUMERIC_MEASURES:
-                continue
-            records.append(
-                {
-                    "family": args.family,
-                    "d": args.d,
-                    "param_name": name,
-                    "param_value": value,
-                    "measure": measure,
-                    "value": _numeric_value(measure, rho, cfg),
-                    "method": "numeric",
-                }
-            )
+        point = OraclePoint(_state(family, params), cfg)
+        records += [_record(family, args.d, value, m, MEASURES[m].oracle(point), "numeric")
+                    for m in args.measures if MEASURES[m].oracle is not None]
     if args.format == "json":
-        _write(json.dumps(records, indent=2) + "\n", args.out)
+        payload = [dict(zip(CSV_HEADER.split(","), rec)) for rec in records]
+        _write(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _write(_records_csv(records), args.out)
     return EXIT_OK
@@ -247,77 +243,47 @@ def cmd_compute(parser, args) -> int:
 
 def cmd_sweep(parser, args) -> int:
     _require_schmidt(parser, args)
-    _check_measures(args.family, args.measures)
-    u = _schmidt_vector(args) if args.family == "pp" else None
-    name = _param_name(args.family)
+    family = args.family
+    _check_measures(family, args.measures)
+    u = _schmidt_vector(args)
     grid = _grid(args.start, args.stop, args.step)
+    fns = [(m, _closed_fn(family, m)) for m in args.measures]
     records = []
     for d in args.d:
         for value in grid:
-            for measure in args.measures:
-                records.append(
-                    {
-                        "family": args.family,
-                        "d": d,
-                        "param_name": name,
-                        "param_value": value,
-                        "measure": measure,
-                        "value": _closed_value(args.family, measure, d, value, u),
-                        "method": "closed",
-                    }
-                )
+            params = _params(family, d, value, u)
+            records += [_record(family, d, value, m, fn(params), "closed") for m, fn in fns]
     _write(_records_csv(records), args.out)
     return EXIT_OK
 
 
+# Figure name -> (family, column label, measures, extra column). Each
+# dimension gets a column holding the closed form of the first measure minus
+# those of the others; the optional extra column is a function of the grid
+# value alone.
 _FIGURES = {
-    "fig1": "Werner discord vs lambda per dimension",
-    "fig2": "Werner classical correlations vs lambda per dimension",
-    "fig3": "Werner discord and entanglement of formation vs lambda",
-    "fig4": "isotropic discord vs alpha per dimension",
-    "fig5": "isotropic classical correlations vs alpha per dimension",
-    "fig6": "isotropic discord minus classical correlations vs alpha",
+    "fig1": ("werner", "discord", ("discord",), None),
+    "fig2": ("werner", "cc", ("cc",), None),
+    "fig3": ("werner", "discord", ("discord",), ("eof", lambda lam: cf.werner_eof(lam))),
+    "fig4": ("isotropic", "discord", ("discord",), None),
+    "fig5": ("isotropic", "cc", ("cc",), None),
+    "fig6": ("isotropic", "diff", ("discord", "cc"),
+             ("binary_entropy", lambda alpha: cf.binary_entropy(alpha))),
 }
 
 
-def _figure_table(name: str, dims: list[int]) -> tuple[list[str], list[list[float]]]:
-    grid = [i / 100.0 for i in range(101)]
-    rows = []
-    if name in ("fig1", "fig2"):
-        fn = cf.werner_discord if name == "fig1" else cf.werner_classical_correlations
-        label = "discord" if name == "fig1" else "cc"
-        header = ["lambda"] + [f"{label}_d{d}" for d in dims]
-        for lam in grid:
-            rows.append([lam] + [fn(d, lam) for d in dims])
-    elif name == "fig3":
-        header = ["lambda"] + [f"discord_d{d}" for d in dims] + ["eof"]
-        for lam in grid:
-            rows.append([lam] + [cf.werner_discord(d, lam) for d in dims] + [cf.werner_eof(lam)])
-    elif name in ("fig4", "fig5"):
-        fn = cf.pp_discord if name == "fig4" else cf.pp_classical_correlations
-        label = "discord" if name == "fig4" else "cc"
-        header = ["alpha"] + [f"{label}_d{d}" for d in dims]
-        for alpha in grid:
-            rows.append([alpha] + [fn(isotropic_params(d, alpha)) for d in dims])
-    else:
-        header = ["alpha"] + [f"diff_d{d}" for d in dims] + ["binary_entropy"]
-        for alpha in grid:
-            diffs = []
-            for d in dims:
-                params = isotropic_params(d, alpha)
-                diffs.append(cf.pp_discord(params) - cf.pp_classical_correlations(params))
-            rows.append([alpha] + diffs + [cf.binary_entropy(alpha)])
-    return header, rows
-
-
 def cmd_figure(parser, args) -> int:
-    dims = args.dims
-    if dims is None:
-        dims = [2, 50] if args.name == "fig3" else [2, 3, 10, 50]
-    header, rows = _figure_table(args.name, dims)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    family, label, measures, extra = _FIGURES[args.name]
+    dims = args.dims or ([2, 50] if args.name == "fig3" else [2, 3, 10, 50])
+    fns = [_closed_fn(family, m) for m in measures]
+    header = [_param_name(family)] + [f"{label}_d{d}" for d in dims]
+    lines = [",".join(header + ([extra[0]] if extra else []))]
+    for x in (i / 100.0 for i in range(101)):
+        params = [_params(family, d, x, None) for d in dims]
+        row = [x] + [reduce(operator.sub, (fn(p) for fn in fns)) for p in params]
+        if extra is not None:
+            row.append(extra[1](x))
+        lines.append(",".join(map(_fmt, row)))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -343,42 +309,27 @@ def cmd_conjecture(parser, args) -> int:
 
 def cmd_oracle_compare(parser, args) -> int:
     _require_schmidt(parser, args)
-    if args.measure not in _family_measures(args.family):
-        raise ValueError(
-            f"measure {args.measure!r} has no closed form for family {args.family!r}"
-        )
-    if args.measure not in NUMERIC_MEASURES:
-        raise ValueError(f"measure {args.measure!r} has no numeric oracle")
-    u = _schmidt_vector(args) if args.family == "pp" else None
-    name = _param_name(args.family)
-    tolerance = 1e-9 if args.measure == "negativity" else 1e-6
+    family, measure = args.family, args.measure
+    closed_fn = _closed_fn(family, measure)
+    if closed_fn is None:
+        raise ValueError(f"measure {measure!r} has no closed form for family {family!r}")
+    u = _schmidt_vector(args)
+    tolerance = MEASURES[measure].tolerance
     cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
     lines = ["family,d,measure,param_name,param_value,closed,numeric,abs_gap"]
     max_gap = 0.0
     for value in _grid(args.start, args.stop, args.step):
-        closed = _closed_value(args.family, args.measure, args.d, value, u)
-        rho = _build_state(args.family, args.d, value, u)
-        numeric = _numeric_value(args.measure, rho, cfg)
+        params = _params(family, args.d, value, u)
+        closed = closed_fn(params)
+        numeric = MEASURES[measure].oracle(OraclePoint(_state(family, params), cfg))
         gap = abs(closed - numeric)
         max_gap = max(max_gap, gap)
-        lines.append(
-            ",".join(
-                [
-                    args.family,
-                    str(args.d),
-                    args.measure,
-                    name,
-                    _fmt(value),
-                    _fmt(closed),
-                    _fmt(numeric),
-                    _fmt(gap),
-                ]
-            )
-        )
+        lines.append(",".join([family, str(args.d), measure, _param_name(family),
+                               *map(_fmt, (value, closed, numeric, gap))]))
     _write("\n".join(lines) + "\n", args.out)
     status = "ok" if max_gap <= tolerance else "fail"
     print(
-        f"oracle-compare {args.family} d={args.d} {args.measure}: "
+        f"oracle-compare {family} d={args.d} {measure}: "
         f"max_gap={max_gap:.3e} tolerance={tolerance:.0e} {status}",
         file=sys.stderr,
     )
@@ -426,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--stop", required=True, type=float)
     sweep.add_argument("--step", required=True, type=float)
     sweep.add_argument("--measures", required=True, type=_parse_measures, metavar="M1,M2,...")
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -446,11 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     conjecture.add_argument("--out")
     conjecture.set_defaults(func=cmd_conjecture)
 
-    compare = commands.add_parser(
-        "oracle-compare", help="closed form vs matrix oracle over a grid"
-    )
+    compare = commands.add_parser("oracle-compare", help="closed form vs matrix oracle over a grid")
     _add_family_options(compare, sweep=False)
-    compare.add_argument("--measure", required=True, choices=sorted(NUMERIC_MEASURES))
+    compare.add_argument("--measure", required=True,
+                         choices=sorted(m for m, entry in MEASURES.items() if entry.oracle))
     compare.add_argument("--start", required=True, type=float)
     compare.add_argument("--stop", required=True, type=float)
     compare.add_argument("--step", required=True, type=float)

@@ -34,15 +34,24 @@ def _check_dimension(d) -> int:
     return int(d)
 
 
-def validate_schmidt(u, d: int | None = None) -> np.ndarray:
-    """Validate a Schmidt amplitude vector: nonnegative, descending, unit sum of squares."""
-    u = np.asarray(u, dtype=float).ravel()
+def _amplitudes(values, d: int | None = None) -> np.ndarray:
+    """Raw amplitudes as a flat float vector: at least two, finite and nonnegative."""
+    u = np.asarray(values, dtype=float).ravel()
     if d is not None and u.size != d:
         raise ValueError(f"Schmidt vector has length {u.size}, expected {d}")
     if u.size < 2:
         raise ValueError("Schmidt vector needs at least two entries")
+    if not np.isfinite(u).all():
+        raise ValueError("Schmidt amplitudes must be finite")
     if np.any(u < 0.0):
         raise ValueError("Schmidt amplitudes must be nonnegative")
+    return u
+
+
+def validate_schmidt(u, d: int | None = None) -> np.ndarray:
+    """Validate a Schmidt amplitude vector: finite, nonnegative, descending,
+    unit sum of squares."""
+    u = _amplitudes(u, d)
     if np.any(np.diff(u) > 0.0):
         raise ValueError("Schmidt amplitudes must be in descending order")
     norm2 = float((u**2).sum())
@@ -57,11 +66,7 @@ def normalized_schmidt(values) -> np.ndarray:
     Opt-in helper (used by the CLI --normalize flag); out-of-tolerance input
     is otherwise rejected rather than silently fixed.
     """
-    u = np.asarray(values, dtype=float).ravel()
-    if u.size < 2:
-        raise ValueError("Schmidt vector needs at least two entries")
-    if np.any(u < 0.0):
-        raise ValueError("Schmidt amplitudes must be nonnegative")
+    u = _amplitudes(values)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise ValueError("Schmidt amplitudes must not all vanish")

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,3 +328,125 @@ class TestExitCodes:
             capsys,
         )
         assert code == 3
+
+    @pytest.mark.parametrize("measure", ["discord", "cc", "mi", "eof", "asymptote"])
+    def test_werner_dimension_one_is_domain_error(self, measure, capsys):
+        code, out, err = run_cli(
+            ["compute", "--family", "werner", "--d", "1", "--lambda", "0.5",
+             "--measures", measure],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert "local dimension" in err
+
+    def test_werner_sweep_dimension_one_is_domain_error(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--family", "werner", "--d", "2,1", "--start", "0", "--stop", "1",
+             "--step", "0.5", "--measures", "eof,asymptote"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("schmidt", ["nan,0.5", "0.8,nan", "inf,0"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_non_finite_schmidt_is_domain_error(self, schmidt, normalize, capsys):
+        argv = ["compute", "--family", "pp", "--d", "2", "--alpha", "0.5",
+                "--schmidt", schmidt, "--measures", "discord,gd"]
+        code, out, err = run_cli(argv + (["--normalize"] if normalize else []), capsys)
+        assert (code, out) == (3, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("grid", [
+        ["--start", "0", "--stop", "inf", "--step", "0.1"],
+        ["--start", "0", "--stop", "nan", "--step", "0.1"],
+        ["--start=-inf", "--stop", "1", "--step", "0.1"],
+        ["--start", "0", "--stop", "1", "--step", "nan"],
+        ["--start", "0", "--stop", "1", "--step", "inf"],
+    ])
+    @pytest.mark.parametrize("command", ["sweep", "oracle-compare"])
+    def test_non_finite_grid_is_domain_error(self, grid, command, capsys):
+        measure = ["--measures", "discord"] if command == "sweep" else ["--measure", "mi"]
+        code, out, err = run_cli(
+            [command, "--family", "werner", "--d", "2", *measure, *grid], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "finite" in err
+
+    def test_oversized_grid_is_domain_error(self, capsys):
+        # (stop - start) overflows to inf: rejected before any point is built
+        code, out, err = run_cli(
+            ["sweep", "--family", "werner", "--d", "2", "--measures", "discord",
+             "--start=-1e308", "--stop", "1e308", "--step", "1"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert f"more than {cli.MAX_GRID_POINTS} points" in err
+
+    def test_sweep_has_no_seed_option(self, capsys):
+        code, _, _ = run_cli(
+            ["sweep", "--family", "werner", "--d", "2", "--start", "0", "--stop", "1",
+             "--step", "0.5", "--measures", "discord", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+
+
+class TestGrid:
+    def test_one_point_over_the_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="more than"):
+            cli._grid(0.0, 1.0, 1.0 / cli.MAX_GRID_POINTS)
+
+    def test_cap_itself_is_accepted(self):
+        grid = cli._grid(0.0, 1.0, 1.0 / (cli.MAX_GRID_POINTS - 1))
+        assert len(grid) == cli.MAX_GRID_POINTS
+        assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1), (-math.inf, 0.0, 0.1),
+        (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+    ])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            cli._grid(*args)
+
+    @pytest.mark.parametrize("args", [(-1e308, 1e308, 1.0), (0.0, 1e300, 1e-300)])
+    def test_overflowing_span_rejected(self, args):
+        with pytest.raises(ValueError, match="more than"):
+            cli._grid(*args)
+
+
+class TestMeasureTable:
+    def test_discord_optimised_once_per_state(self, capsys, monkeypatch):
+        calls = []
+        real = oracle.discord_numeric
+
+        def counting(rho, cfg):
+            calls.append(cfg.seed)
+            return real(rho, cfg)
+
+        monkeypatch.setattr(oracle, "discord_numeric", counting)
+        code, out, _ = run_cli(
+            ["compute", "--family", "isotropic", "--d", "2", "--alpha", "0.7",
+             "--measures", "discord,cc,mi", "--numeric", "--restarts", "4", "--seed", "3",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert calls == [3]
+        numeric = {r["measure"]: r["value"] for r in json.loads(out) if r["method"] == "numeric"}
+        assert numeric["cc"] == numeric["mi"] - numeric["discord"]
+
+    def test_readme_lists_match_table(self):
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+
+        def names(route):
+            return ",".join(m for m, entry in cli.MEASURES.items() if getattr(entry, route))
+
+        assert f"Werner supports `{names('werner')}`" in readme
+        assert f"pseudo-pure and isotropic support `{names('pp')}`" in readme
+        assert f"`--numeric` adds oracle rows for `{names('oracle')}`" in readme
+
+    def test_oracle_compare_tolerances(self):
+        tolerances = {m: e.tolerance for m, e in cli.MEASURES.items() if e.oracle}
+        assert tolerances == {"discord": 1e-6, "cc": 1e-6, "mi": 1e-6, "gd": 1e-6,
+                              "negativity": 1e-9}

@@ -1,0 +1,77 @@
+"""Golden CLI output: SHA-256 digests of stdout for fixed invocations.
+
+The digests pin the bytes the CLI writes, not just their agreement between
+two runs. They were recorded with Python 3.11, numpy 2.4 and scipy 1.17 on
+x86-64; the oracle rows (``compute --numeric``, ``conjecture``) depend on
+floating-point results of the linear-algebra backend, so another BLAS may
+change their last digits. A digest is changed only together with an
+intended change of the output, and the reason is written down with it.
+"""
+
+import hashlib
+
+import pytest
+
+from qcorr import cli
+
+PP_MEASURES = "discord,cc,mi,gd,negativity,asymptote"
+GRID = ["--start", "0", "--stop", "1", "--step", "0.05"]
+
+GOLDEN = {
+    "figure-fig1": (
+        ["figure", "fig1"],
+        "c18c102c472276278db6bc6ae4f9889c8909725e4427c29ff393e7d75282ab2b"),
+    "figure-fig2": (
+        ["figure", "fig2"],
+        "67ec81eb94231788e1bd279ec88165c3ca51ff91d71cfda5951ff216a13018ae"),
+    "figure-fig3": (
+        ["figure", "fig3"],
+        "07e83dceef1d890c5809388beeded7eafb08718699cddf739c83761303387151"),
+    "figure-fig4": (
+        ["figure", "fig4"],
+        "cce2b9ecbe55ad0eb9eb7b7546fe3533f55f7cc380e634834773ffd3f8485985"),
+    "figure-fig5": (
+        ["figure", "fig5"],
+        "73f669da1f7cb88ce0d3819419ab580bf6faf816a27ce24c933fc9532ac16275"),
+    "figure-fig6": (
+        ["figure", "fig6"],
+        "e6b15dfeb46f66df999f7e69055e045bf096bd5ce80827a4ccccfd1ac30a2345"),
+    "sweep-werner": (
+        ["sweep", "--family", "werner", "--d", "2,3,10", *GRID,
+         "--measures", "discord,cc,mi,eof,asymptote"],
+        "d75690ebc342a6ecf90c7c9c9f454c8ba762ca87cbbc647b884b6d25d8de2739"),
+    "sweep-isotropic": (
+        ["sweep", "--family", "isotropic", "--d", "2,3,10", *GRID, "--measures", PP_MEASURES],
+        "6bd6e297f9a00618ae3ecf2b6fb7238aa3cb50b6d490449a5d73b2da7b262a22"),
+    "sweep-pp-normalize": (
+        ["sweep", "--family", "pp", "--d", "3", "--schmidt", "1,3,2", "--normalize", *GRID,
+         "--measures", PP_MEASURES],
+        "c4903a9d47f095ec05edd6cd808876c4fce93e76a357d08ce58ca25f1f786108"),
+    "compute-pp-numeric-json": (
+        ["compute", "--family", "pp", "--d", "3", "--alpha", "0.6", "--schmidt", "0.8,0.6,0",
+         "--measures", PP_MEASURES, "--numeric", "--restarts", "4", "--seed", "1",
+         "--format", "json"],
+        "23e1883101e7a0490192a2053b606f3da358945b9b3156710af2521651056ec4"),
+    "oracle-compare-isotropic-negativity": (
+        ["oracle-compare", "--family", "isotropic", "--d", "3", "--measure", "negativity",
+         "--start", "0", "--stop", "1", "--step", "0.1"],
+        "87fb021dd3a12062a815123f0391991bab121deede92cefc17efb12ea4176f2e"),
+    "conjecture": (
+        ["conjecture", "--samples", "40", "--dmax", "4"],
+        "73dd4a3065c65bbec3f530d7a7159bff408cf2eb0958c5866077672980a4bab5"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_stdout_digest(name, capsys):
+    argv, digest = GOLDEN[name]
+    assert cli.main(argv) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_oracle_compare_summary_line(capsys):
+    argv, _ = GOLDEN["oracle-compare-isotropic-negativity"]
+    assert cli.main(argv) == 0
+    _, err = capsys.readouterr()
+    assert err == "oracle-compare isotropic d=3 negativity: max_gap=1.110e-16 tolerance=1e-09 ok\n"

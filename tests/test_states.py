@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcorr.linalg import partial_transpose
@@ -18,6 +20,7 @@ from qcorr.states import (
     random_unitary,
     schmidt_state_vector,
     symmetric_antisymmetric_projectors,
+    validate_schmidt,
 )
 
 
@@ -197,3 +200,22 @@ class TestHelpers:
         m = np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex)
         with pytest.raises(ValueError):
             DensityMatrix(m, (2, 2))
+
+
+class TestNonFiniteSchmidt:
+    @given(
+        st.lists(st.floats(0.0, 1e3), min_size=2, max_size=6),
+        st.integers(0, 5),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_rejected_by_both_validators(self, values, index, bad):
+        values[index % len(values)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            validate_schmidt(values)
+        with pytest.raises(ValueError, match="finite"):
+            normalized_schmidt(values)
+
+    @pytest.mark.parametrize("u", [[math.nan, 0.5], [math.inf, 0.0], [0.8, math.nan]])
+    def test_params_reject_non_finite_schmidt(self, u):
+        with pytest.raises(ValueError, match="finite"):
+            PseudoPureParams(2, 0.5, np.array(u))
