@@ -45,7 +45,7 @@ CSV_HEADER = "family,d,param_name,param_value,measure,value,method"
 
 
 class OraclePoint:
-    """One state and optimizer setting; the discord optimisation runs at most once."""
+    """One state and optimizer setting; discord and mutual information run at most once."""
 
     def __init__(self, rho, cfg: oracle.OptimizerConfig):
         self.rho = rho
@@ -54,6 +54,10 @@ class OraclePoint:
     @cached_property
     def discord(self) -> float:
         return oracle.discord_numeric(self.rho, self.cfg)
+
+    @cached_property
+    def mi(self) -> float:
+        return oracle.mutual_information_numeric(self.rho)
 
 
 class Measure(NamedTuple):
@@ -79,12 +83,12 @@ MEASURES = {
     "cc": Measure(
         lambda p: cf.werner_classical_correlations(p.d, p.lam),
         lambda p: cf.pp_classical_correlations(p),
-        lambda pt: oracle.mutual_information_numeric(pt.rho) - pt.discord,
+        lambda pt: pt.mi - pt.discord,
     ),
     "mi": Measure(
         lambda p: cf.werner_mutual_information(p.d, p.lam),
         lambda p: cf.pp_mutual_information(p),
-        lambda pt: oracle.mutual_information_numeric(pt.rho),
+        lambda pt: pt.mi,
     ),
     "gd": Measure(None, lambda p: cf.pp_gd(p), lambda pt: oracle.gd_numeric(pt.rho, pt.cfg)),
     "negativity": Measure(
@@ -168,7 +172,10 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     intervals = (stop - start) / step + 1e-9
     if intervals >= MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
-    return [min(start + i * step, stop) for i in range(int(intervals) + 1)]
+    points = [min(start + i * step, stop) for i in range(int(intervals) + 1)]
+    if stop - points[-1] <= 1e-9 * step:
+        points[-1] = stop  # admitted by the slack above, so it stands for stop
+    return points
 
 
 def _check_measures(family: str, measures: list[str]) -> None:

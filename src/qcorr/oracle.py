@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import closed_forms
 from .linalg import (
@@ -52,6 +51,8 @@ COMMUTATOR_NORM_TOL = 1e-8
 CONJECTURE_GAP_TOL = 1e-10
 
 _SIMPLEX_STEP = 0.25
+_MAX_ITERATIONS = 2000  # per restart; evaluations are capped at twice this
+_OBJECTIVE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,18 +60,14 @@ class OptimizerConfig:
     """Multi-start settings for the measurement-basis minimizations."""
 
     restarts: int = 32
-    max_iterations: int = 2000
-    objective_tolerance: float = 1e-9
     step_tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.objective_tolerance <= 0 or self.step_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.step_tolerance <= 0:
+            raise ValueError("step_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -188,6 +185,83 @@ def _givens_basis(x: np.ndarray, base: np.ndarray) -> np.ndarray:
     return U
 
 
+class _BudgetExhausted(Exception):
+    """An evaluation was asked for past the budget; the search ends mid-step."""
+
+
+def _nelder_mead(f, simplex: np.ndarray, max_iterations: int, xatol: float, fatol: float):
+    """Minimize f from `simplex` ((n + 1) x n vertices) by Nelder-Mead.
+
+    Takes the steps of scipy's `minimize(method="Nelder-Mead")` with
+    `initial_simplex`, `maxiter=max_iterations`, `maxfev=2*max_iterations`,
+    `xatol`, `fatol` and `adaptive=(n > 12)`, in the same arithmetic and
+    argsort order, so a run evaluates the same points bit for bit. Returns
+    the lowest value evaluated, the point where it was first reached, and
+    whether the tolerances (not the budget) stopped the search.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    # reflection coefficient 1 throughout; Gao-Han coefficients above 12 variables
+    chi, psi, sigma = (1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n) if n > 12 else (2, 0.5, 0.5)
+    evaluations, best_value, best_x = 0, math.inf, sim[0]
+
+    def evaluate(x):
+        nonlocal evaluations, best_value, best_x
+        if evaluations >= 2 * max_iterations:
+            raise _BudgetExhausted
+        evaluations += 1
+        x = x.copy()
+        value = f(x)
+        if value < best_value:
+            best_value, best_x = value, x
+        return value
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    converged = False
+    try:
+        fsim = np.array([evaluate(vertex) for vertex in sim])
+        # sorted twice, as scipy does: argsort need not keep ties in place
+        sim, fsim = ordered(*ordered(sim, fsim))
+        iterations = 1
+        while evaluations < 2 * max_iterations and iterations < max_iterations:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                converged = True
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    fxc = evaluate(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = evaluate(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = evaluate(sim[j])
+            iterations += 1
+            sim, fsim = ordered(sim, fsim)
+    except _BudgetExhausted:
+        pass
+    return best_value, best_x, converged
+
+
 def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_blocks) -> OptimizerResult:
     """Multi-start simplex descent of a blocks functional over projective bases."""
     dA, dB = rho.dims
@@ -197,9 +271,6 @@ def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_bloc
         )
     r2 = _paired_b_indices(rho.matrix.reshape(dA, dB, dA, dB))
     eig_basis = hermitian_eigensystem(partial_trace(rho.matrix, rho.dims, "A")).eigenvectors
-
-    def value_at(B: np.ndarray) -> float:
-        return value_of_blocks(_measurement_blocks(r2, B))
 
     n = dB * (dB - 1)
     simplex = np.zeros((n + 1, n))
@@ -214,35 +285,15 @@ def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_bloc
             base = eig_basis
         else:
             base = _haar_unitary(dB, np.random.default_rng([cfg.seed, r]))
-        # track the best point actually evaluated, not just the final simplex
-        tracker = [value_at(base), base]
-
-        def objective(x, base=base, tracker=tracker):
-            B = _givens_basis(x, base)
-            v = value_at(B)
-            if v < tracker[0]:
-                tracker[0] = v
-                tracker[1] = B
-            return v
-
-        result = minimize(
-            objective,
-            np.zeros(n),
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iterations,
-                "maxfev": 2 * cfg.max_iterations,
-                "xatol": cfg.step_tolerance,
-                "fatol": cfg.objective_tolerance,
-                "initial_simplex": simplex,
-                "adaptive": n > 12,
-            },
+        value, x, success = _nelder_mead(
+            lambda x: value_of_blocks(_measurement_blocks(r2, _givens_basis(x, base))),
+            simplex, _MAX_ITERATIONS, cfg.step_tolerance, _OBJECTIVE_TOLERANCE,
         )
-        converged = converged or bool(result.success)
-        per_restart.append(tracker[0])
-        if tracker[0] < best_value:
-            best_value = tracker[0]
-            best_basis = tracker[1]
+        converged = converged or success
+        per_restart.append(value)
+        if value < best_value:
+            best_value = value
+            best_basis = _givens_basis(x, base)
     return OptimizerResult(best_value, best_basis, tuple(per_restart), converged)
 
 

@@ -67,6 +67,7 @@ def normalized_schmidt(values) -> np.ndarray:
     is otherwise rejected rather than silently fixed.
     """
     u = _amplitudes(values)
+    u = np.ldexp(u, -np.frexp(u.max())[1])  # exact rescale: the norm cannot over- or underflow
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise ValueError("Schmidt amplitudes must not all vanish")

@@ -112,6 +112,17 @@ class TestCompute:
         expected = cf.pp_discord(PseudoPureParams(2, 1.0, np.array([0.8, 0.6])))
         assert parse_records(out)[0]["value"] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("raw, reference", [
+        (["1e200,1e200", "--normalize"], ["1,1", "--normalize"]),
+        (["1e-320,0", "--normalize"], ["1,0"]),
+    ])
+    def test_schmidt_normalization_extreme_scales(self, raw, reference, capsys):
+        argv = ["compute", "--family", "pp", "--d", "2", "--alpha", "0.7",
+                "--measures", "discord,gd,negativity", "--schmidt"]
+        code, out, err = run_cli(argv + raw, capsys)
+        assert (code, err) == (0, "")
+        assert out == run_cli(argv + reference, capsys)[1]
+
     def test_unnormalized_schmidt_rejected(self, capsys):
         code, _, err = run_cli(
             ["compute", "--family", "pp", "--d", "2", "--alpha", "1", "--schmidt",
@@ -401,6 +412,10 @@ class TestGrid:
         assert len(grid) == cli.MAX_GRID_POINTS
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_last_point_within_slack_is_stop(self):
+        # 999999 * (1 / 999999) is 0.9999999999999999
+        assert cli._grid(0.0, 1.0, 1.0 / 999999)[-1] == 1.0
+
     @pytest.mark.parametrize("args", [
         (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1), (-math.inf, 0.0, 0.1),
         (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
@@ -418,13 +433,20 @@ class TestGrid:
 class TestMeasureTable:
     def test_discord_optimised_once_per_state(self, capsys, monkeypatch):
         calls = []
+        mi_calls = []
         real = oracle.discord_numeric
+        real_mi = oracle.mutual_information_numeric
 
         def counting(rho, cfg):
             calls.append(cfg.seed)
             return real(rho, cfg)
 
+        def counting_mi(rho):
+            mi_calls.append(rho)
+            return real_mi(rho)
+
         monkeypatch.setattr(oracle, "discord_numeric", counting)
+        monkeypatch.setattr(oracle, "mutual_information_numeric", counting_mi)
         code, out, _ = run_cli(
             ["compute", "--family", "isotropic", "--d", "2", "--alpha", "0.7",
              "--measures", "discord,cc,mi", "--numeric", "--restarts", "4", "--seed", "3",
@@ -433,6 +455,7 @@ class TestMeasureTable:
         )
         assert code == 0
         assert calls == [3]
+        assert len(mi_calls) == 1
         numeric = {r["measure"]: r["value"] for r in json.loads(out) if r["method"] == "numeric"}
         assert numeric["cc"] == numeric["mi"] - numeric["discord"]
 

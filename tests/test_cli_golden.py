@@ -1,7 +1,7 @@
 """Golden CLI output: SHA-256 digests of stdout for fixed invocations.
 
 The digests pin the bytes the CLI writes, not just their agreement between
-two runs. They were recorded with Python 3.11, numpy 2.4 and scipy 1.17 on
+two runs. They were recorded with Python 3.11 and numpy 2.4 on
 x86-64; the oracle rows (``compute --numeric``, ``conjecture``) depend on
 floating-point results of the linear-algebra backend, so another BLAS may
 change their last digits. A digest is changed only together with an

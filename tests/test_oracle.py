@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_density
 from qcorr import closed_forms as cf
+from qcorr import oracle
 from qcorr.oracle import (
     ConjectureReport,
     OptimizerConfig,
@@ -178,6 +183,85 @@ class TestMinimizeConditionalEntropy:
         rho = DensityMatrix(np.kron(random_density(2, rng), random_density(9, rng)), (2, 9))
         with pytest.raises(ValueError):
             minimize_conditional_entropy(rho, FAST)
+
+
+class TestNelderMead:
+    """The built-in simplex loop against its reference, scipy's Nelder-Mead."""
+
+    @staticmethod
+    def run_both(objective, n, max_iterations):
+        """Run both on `objective`; returns (ours, scipy's result, scipy's evaluated points)."""
+        optimize = pytest.importorskip("scipy.optimize")
+        simplex = np.zeros((n + 1, n))
+        simplex[1:] = np.eye(n) * oracle._SIMPLEX_STEP
+        xatol, fatol = 1e-10, oracle._OBJECTIVE_TOLERANCE
+        ours_calls, scipy_calls = [], []
+
+        def recorded(calls):
+            def f(x):
+                value = objective(x)
+                calls.append((x.copy(), value))
+                return value
+            return f
+
+        ours = oracle._nelder_mead(recorded(ours_calls), simplex, max_iterations, xatol, fatol)
+        reference = optimize.minimize(
+            recorded(scipy_calls), np.zeros(n), method="Nelder-Mead",
+            options={"maxiter": max_iterations, "maxfev": 2 * max_iterations,
+                     "xatol": xatol, "fatol": fatol, "initial_simplex": simplex,
+                     "adaptive": n > 12},
+        )
+        points = np.array([x for x, _ in scipy_calls])
+        values = [v for _, v in scipy_calls]
+        assert np.array([x for x, _ in ours_calls]).tobytes() == points.tobytes()
+        assert len(ours_calls) == len(values) == reference.nfev
+        first_min = int(np.argmin(values))
+        value, x, converged = ours
+        assert value == values[first_min]
+        assert x.tobytes() == points[first_min].tobytes()
+        assert converged == reference.success
+        return ours, reference, points
+
+    @staticmethod
+    def objective(measure, d):
+        rho = build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, 5)))
+        base = random_unitary(d, 2)
+        return lambda x: measure(rho, oracle._givens_basis(x, base))
+
+    def test_conditional_entropy_d3(self):
+        f = self.objective(measured_conditional_entropy, 3)
+        (value, _, converged), reference, _ = self.run_both(f, 6, oracle._MAX_ITERATIONS)
+        assert converged
+        assert value == reference.fun
+
+    def test_geometric_discord_d5_adaptive(self):
+        f = self.objective(gd_objective, 5)
+        (value, _, _), reference, points = self.run_both(f, 20, oracle._MAX_ITERATIONS)
+        assert len(points) > 1000
+        assert value <= reference.fun
+
+    def test_adaptive_shrink(self):
+        # the basis objectives at 20 variables never shrink the simplex; this rippled bowl does
+        self.run_both(lambda x: float(np.sum(np.sin(7 * x) + x * x)), 20, oracle._MAX_ITERATIONS)
+
+    def test_budget_runs_out_mid_step(self):
+        # 8 evaluations: the 7 vertices and a reflection that beats them all.
+        # The expansion that would complete the step is refused, so scipy's
+        # final simplex never holds the best point evaluated.
+        f = self.objective(measured_conditional_entropy, 3)
+        (value, _, converged), reference, points = self.run_both(f, 6, 4)
+        assert len(points) == 8 and not converged
+        assert value < reference.fun
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(oracle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qcorr; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 class TestDiscordNumeric:
