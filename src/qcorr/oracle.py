@@ -13,11 +13,17 @@ the minimized value is therefore an upper bound on the discord. Bases are
 parametrized as a product of d(d-1)/2 complex Givens rotations (two angles
 each) applied to a restart basis; restart 0 uses an eigenbasis of the
 measured marginal, the rest are Haar-random with deterministic per-restart
-seeds, and each restart runs a derivative-free simplex descent.
+seeds, and each restart runs a derivative-free simplex descent. The restarts
+advance in lockstep: each round stacks the next point of every unfinished
+restart and evaluates them all in one batched call (one stack of rotated
+bases, one block contraction, one eigensolve), with the same bits as running
+the restarts one after another.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,6 +84,7 @@ class OptimizerResult:
     argmin_basis: np.ndarray
     per_restart_values: tuple[float, ...]
     converged: bool
+    evaluations: tuple[int, ...]  # objective evaluations per restart
 
 
 @dataclass(frozen=True)
@@ -106,42 +113,52 @@ def _check_basis(basis, d: int) -> np.ndarray:
     return B
 
 
-def _paired_b_indices(rho4: np.ndarray) -> np.ndarray:
-    """Regroup rho[a,b,c,d] as a (dA*dA, dB, dB) stack over the B indices."""
-    dA, dB = rho4.shape[0], rho4.shape[1]
-    return np.ascontiguousarray(rho4.transpose(0, 2, 1, 3)).reshape(dA * dA, dB, dB)
+def _paired_b_indices(rho: DensityMatrix) -> np.ndarray:
+    """Regroup rho[a,b,c,d] as a (dA*dA*dB, dB) matrix with rows (a, c, b)."""
+    dA, dB = rho.dims
+    rho4 = rho.matrix.reshape(dA, dB, dA, dB)
+    return np.ascontiguousarray(rho4.transpose(0, 2, 1, 3)).reshape(dA * dA * dB, dB)
 
 
 def _measurement_blocks(r2: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stack of unnormalized post-measurement blocks tau_k = <eta_k|rho|eta_k>.
+    """Stacks of unnormalized post-measurement blocks tau_k = <eta_k|rho|eta_k>.
 
-    r2 comes from _paired_b_indices; B holds the basis vectors as columns.
+    r2 comes from _paired_b_indices; B is an (R, dB, dB) stack of bases with
+    the basis vectors as columns. Returns an (R, dB, dA, dA) stack.
     """
-    dB = B.shape[0]
-    dA = int(round(math.sqrt(r2.shape[0])))
-    # tau[(a,c), k] = sum_{b,d} conj(B[b,k]) r2[(a,c), b, d] B[d,k]
-    contracted = (B.conj()[None, :, :] * (r2 @ B)).sum(axis=1)
-    return contracted.reshape(dA, dA, dB).transpose(2, 0, 1)
+    R, dB = B.shape[0], B.shape[1]
+    dA = int(round(math.sqrt(r2.shape[0] // dB)))
+    # tau[r, (a,c), k] = sum_{b,d} conj(B[r,b,k]) r2[(a,c,b), d] B[r,d,k]
+    contracted = (B.conj()[:, None] * (r2 @ B).reshape(R, dA * dA, dB, dB)).sum(axis=2)
+    return contracted.reshape(R, dA, dA, dB).transpose(0, 3, 1, 2)
 
 
-def _ce_of_blocks(tau: np.ndarray) -> float:
-    """Average conditional entropy sum_k p_k S(tau_k / p_k), in bits."""
-    p = np.einsum("kaa->k", tau).real
+def _blocks(rho: DensityMatrix, basis) -> np.ndarray:
+    """The (1, dB, dA, dA) blocks of measuring side B of `rho` in `basis`."""
+    return _measurement_blocks(_paired_b_indices(rho), _check_basis(basis, rho.dims[1])[None])
+
+
+def _ce_of_blocks(tau: np.ndarray) -> np.ndarray:
+    """Average conditional entropy sum_k p_k S(tau_k / p_k) in bits, per basis."""
+    p = np.einsum("rkaa->rk", tau).real
     keep = p > ZERO_PROBABILITY
-    if not keep.any():
-        return 0.0
-    states = tau[keep] / p[keep, None, None]
+    # dropped outcomes divide by 1 so that one eigensolve covers every block
+    states = tau / np.where(keep, p, 1.0)[..., None, None]
     w = np.clip(np.linalg.eigvalsh(states), 0.0, None)
     logs = np.log2(np.clip(w, EVAL_ZERO_CUTOFF, None))
-    entropies = -np.where(w > EVAL_ZERO_CUTOFF, w * logs, 0.0).sum(axis=1)
-    return float(p[keep] @ entropies)
+    entropies = -np.where(w > EVAL_ZERO_CUTOFF, w * logs, 0.0).sum(axis=-1)
+    return np.array([p_r[k] @ s_r[k] for p_r, s_r, k in zip(p, entropies, keep)])
+
+
+def _purity_loss(rho_purity: float, tau: np.ndarray) -> np.ndarray:
+    """tr(rho^2) - sum_k tr(tau_k^2), per basis."""
+    return rho_purity - np.einsum("rkab,rkab->r", tau, tau.conj()).real
 
 
 def conditional_ensemble(rho: DensityMatrix, basis) -> ConditionalEnsemble:
     """Measure side B of `rho` in `basis` (columns are the basis vectors)."""
     dA, dB = rho.dims
-    B = _check_basis(basis, dB)
-    tau = _measurement_blocks(_paired_b_indices(rho.matrix.reshape(dA, dB, dA, dB)), B)
+    tau = _blocks(rho, basis)[0]
     probs = np.einsum("kaa->k", tau).real.copy()
     states = []
     for k in range(dB):
@@ -155,33 +172,30 @@ def conditional_ensemble(rho: DensityMatrix, basis) -> ConditionalEnsemble:
 
 def measured_conditional_entropy(rho: DensityMatrix, basis) -> float:
     """sum_k p_k S(rho^A_k) for a measurement of side B in `basis`, in bits."""
-    dA, dB = rho.dims
-    B = _check_basis(basis, dB)
-    r2 = _paired_b_indices(rho.matrix.reshape(dA, dB, dA, dB))
-    return _ce_of_blocks(_measurement_blocks(r2, B))
+    return float(_ce_of_blocks(_blocks(rho, basis))[0])
 
 
 def _givens_basis(x: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Apply the product of complex Givens rotations with angles x to `base`.
 
-    x holds (theta, phi) for each column pair i < j; each rotation is
+    The last axis of x holds (theta, phi) for each column pair i < j, and
+    base is a matching d x d matrix or stack of them; each rotation is
     exactly unitary, so the columns stay orthonormal.
     """
-    d = base.shape[0]
+    d = base.shape[-1]
     U = np.array(base, copy=True)
-    idx = 0
-    for i in range(d - 1):
-        for j in range(i + 1, d):
-            theta = x[idx]
-            phi = x[idx + 1]
-            idx += 2
-            c = math.cos(theta)
-            s = math.sin(theta)
-            e = complex(math.cos(phi), math.sin(phi))
-            col_i = U[:, i].copy()
-            col_j = U[:, j].copy()
-            U[:, i] = c * col_i + s * e * col_j
-            U[:, j] = -s * e.conjugate() * col_i + c * col_j
+    angles = x.ravel().tolist()
+    cos = np.array(list(map(math.cos, angles))).reshape(x.shape)
+    sin = np.array(list(map(math.sin, angles))).reshape(x.shape)
+    c, s = cos[..., 0::2, None], sin[..., 0::2, None]
+    e = np.empty(c.shape, dtype=complex)
+    e.real, e.imag = cos[..., 1::2, None], sin[..., 1::2, None]
+    se, mse = s * e, -s * e.conj()
+    for idx, (i, j) in enumerate(itertools.combinations(range(d), 2)):
+        col_i, col_j = U[..., i], U[..., j]
+        new_i = c[..., idx, :] * col_i + se[..., idx, :] * col_j
+        U[..., j] = mse[..., idx, :] * col_i + c[..., idx, :] * col_j
+        U[..., i] = new_i
     return U
 
 
@@ -189,15 +203,17 @@ class _BudgetExhausted(Exception):
     """An evaluation was asked for past the budget; the search ends mid-step."""
 
 
-def _nelder_mead(f, simplex: np.ndarray, max_iterations: int, xatol: float, fatol: float):
-    """Minimize f from `simplex` ((n + 1) x n vertices) by Nelder-Mead.
+def _simplex_search(simplex: np.ndarray, max_iterations: int, xatol: float, fatol: float):
+    """Nelder-Mead from `simplex` ((n + 1) x n vertices), as a generator.
 
-    Takes the steps of scipy's `minimize(method="Nelder-Mead")` with
+    Yields each point it wants evaluated and must be sent its value. Takes
+    the steps of scipy's `minimize(method="Nelder-Mead")` with
     `initial_simplex`, `maxiter=max_iterations`, `maxfev=2*max_iterations`,
     `xatol`, `fatol` and `adaptive=(n > 12)`, in the same arithmetic and
     argsort order, so a run evaluates the same points bit for bit. Returns
-    the lowest value evaluated, the point where it was first reached, and
-    whether the tolerances (not the budget) stopped the search.
+    the lowest value evaluated, the point where it was first reached,
+    whether the tolerances (not the budget) stopped the search, and the
+    number of evaluations.
     """
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
@@ -211,90 +227,116 @@ def _nelder_mead(f, simplex: np.ndarray, max_iterations: int, xatol: float, fato
             raise _BudgetExhausted
         evaluations += 1
         x = x.copy()
-        value = f(x)
+        value = yield x
         if value < best_value:
             best_value, best_x = value, x
         return value
 
     def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        return sim.take(ind, 0), fsim.take(ind, 0)
 
     converged = False
     try:
-        fsim = np.array([evaluate(vertex) for vertex in sim])
+        fsim = np.empty(n + 1)
+        for k in range(n + 1):
+            fsim[k] = yield from evaluate(sim[k])
         # sorted twice, as scipy does: argsort need not keep ties in place
         sim, fsim = ordered(*ordered(sim, fsim))
         iterations = 1
         while evaluations < 2 * max_iterations and iterations < max_iterations:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
                 converged = True
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
-            fxr = evaluate(xr)
+            fxr = yield from evaluate(xr)
             if fxr < fsim[0]:
                 xe = (1 + chi) * xbar - chi * sim[-1]
-                fxe = evaluate(xe)
+                fxe = yield from evaluate(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = (1 + psi) * xbar - psi * sim[-1]
-                    fxc = evaluate(xc)
+                    fxc = yield from evaluate(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
                     xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = evaluate(xc)
+                    fxc = yield from evaluate(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = evaluate(sim[j])
+                        fsim[j] = yield from evaluate(sim[j])
             iterations += 1
             sim, fsim = ordered(sim, fsim)
     except _BudgetExhausted:
         pass
-    return best_value, best_x, converged
+    return best_value, best_x, converged, evaluations
+
+
+def _lockstep(searches: list, evaluate) -> list:
+    """Run `_simplex_search` generators side by side; returns their results in order.
+
+    Each round stacks the pending points of the active searches and gets
+    their values from one call of `evaluate(active, points)`; a search that
+    returns leaves the batch.
+    """
+    results: list = [None] * len(searches)
+    pending = {}
+
+    def advance(i, value):
+        try:
+            pending[i] = searches[i].send(value)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while pending:
+        active = list(pending)
+        values = evaluate(active, np.array([pending[i] for i in active]))
+        for i, value in zip(active, values):
+            advance(i, float(value))
+    return results
+
+
+def _nelder_mead(f, simplex: np.ndarray, max_iterations: int, xatol: float, fatol: float):
+    """Minimize f from `simplex` by one `_simplex_search`; returns its first three results."""
+    search = _simplex_search(simplex, max_iterations, xatol, fatol)
+    (result,) = _lockstep([search], lambda _, points: [f(points[0])])
+    return result[:3]
 
 
 def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_blocks) -> OptimizerResult:
     """Multi-start simplex descent of a blocks functional over projective bases."""
-    dA, dB = rho.dims
+    dB = rho.dims[1]
     if dB > MAX_MEASURED_DIM:
         raise ValueError(
             f"measured dimension {dB} exceeds the optimization envelope {MAX_MEASURED_DIM}"
         )
-    r2 = _paired_b_indices(rho.matrix.reshape(dA, dB, dA, dB))
+    r2 = _paired_b_indices(rho)
     eig_basis = hermitian_eigensystem(partial_trace(rho.matrix, rho.dims, "A")).eigenvectors
+    bases = np.array([eig_basis] + [_haar_unitary(dB, np.random.default_rng([cfg.seed, r]))
+                                     for r in range(1, cfg.restarts)])
 
     n = dB * (dB - 1)
     simplex = np.zeros((n + 1, n))
     simplex[1:] = np.eye(n) * _SIMPLEX_STEP
-
-    best_value = math.inf
-    best_basis = eig_basis
-    per_restart: list[float] = []
-    converged = False
-    for r in range(cfg.restarts):
-        if r == 0:
-            base = eig_basis
-        else:
-            base = _haar_unitary(dB, np.random.default_rng([cfg.seed, r]))
-        value, x, success = _nelder_mead(
-            lambda x: value_of_blocks(_measurement_blocks(r2, _givens_basis(x, base))),
-            simplex, _MAX_ITERATIONS, cfg.step_tolerance, _OBJECTIVE_TOLERANCE,
-        )
-        converged = converged or success
-        per_restart.append(value)
-        if value < best_value:
-            best_value = value
-            best_basis = _givens_basis(x, base)
-    return OptimizerResult(best_value, best_basis, tuple(per_restart), converged)
+    searches = [_simplex_search(simplex, _MAX_ITERATIONS, cfg.step_tolerance, _OBJECTIVE_TOLERANCE)
+                for _ in bases]
+    results = _lockstep(searches, lambda active, x: value_of_blocks(
+        _measurement_blocks(r2, _givens_basis(x, bases[active]))))
+    values, points, converged, evaluations = zip(*results)
+    best = values.index(min(values))
+    return OptimizerResult(values[best], _givens_basis(points[best], bases[best]), values,
+                           any(converged), evaluations)
 
 
 def minimize_conditional_entropy(rho: DensityMatrix, cfg: OptimizerConfig) -> OptimizerResult:
@@ -319,20 +361,12 @@ def mutual_information_numeric(rho: DensityMatrix) -> float:
 
 def gd_objective(rho: DensityMatrix, basis) -> float:
     """tr(rho^2) - sum_k tr(tau_k^2) for a measurement of side B in `basis`."""
-    dA, dB = rho.dims
-    B = _check_basis(basis, dB)
-    tau = _measurement_blocks(_paired_b_indices(rho.matrix.reshape(dA, dB, dA, dB)), B)
-    return purity(rho.matrix) - float(np.einsum("kab,kab->", tau, tau.conj()).real)
+    return float(_purity_loss(purity(rho.matrix), _blocks(rho, basis))[0])
 
 
 def gd_numeric(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
     """Geometric discord: d/(d-1) times the minimized purity loss."""
-    base_purity = purity(rho.matrix)
-
-    def value_of_blocks(tau: np.ndarray) -> float:
-        return base_purity - float(np.einsum("kab,kab->", tau, tau.conj()).real)
-
-    result = _minimize_over_bases(rho, cfg, value_of_blocks)
+    result = _minimize_over_bases(rho, cfg, functools.partial(_purity_loss, purity(rho.matrix)))
     dB = rho.dims[1]
     return dB / (dB - 1.0) * result.value
 

@@ -6,6 +6,13 @@ x86-64; the oracle rows (``compute --numeric``, ``conjecture``) depend on
 floating-point results of the linear-algebra backend, so another BLAS may
 change their last digits. A digest is changed only together with an
 intended change of the output, and the reason is written down with it.
+
+``compute-pp-numeric-budget`` pins a search whose restarts do not agree:
+at d = 4 with 3 restarts, restart 0 meets the tolerances after about 800
+evaluations, while restarts 1 and 2 run into the 2000-iteration cap (about
+2700 evaluations each) and stop up to 1e-4 above it. So the digest covers
+restarts that end at different points, the iteration cap, and the choice
+of the best restart.
 """
 
 import hashlib
@@ -52,6 +59,11 @@ GOLDEN = {
          "--measures", PP_MEASURES, "--numeric", "--restarts", "4", "--seed", "1",
          "--format", "json"],
         "23e1883101e7a0490192a2053b606f3da358945b9b3156710af2521651056ec4"),
+    "compute-pp-numeric-budget": (
+        ["compute", "--family", "pp", "--d", "4", "--alpha", "0.6", "--schmidt", "0.7,0.5,0.4,0.3",
+         "--normalize", "--measures", "discord,gd", "--numeric", "--restarts", "3", "--seed", "1",
+         "--format", "json"],
+        "a7247489c043455e5ce657e7be02bfc2abffd3733e29f3bd2312d211cd22f992"),
     "oracle-compare-isotropic-negativity": (
         ["oracle-compare", "--family", "isotropic", "--d", "3", "--measure", "negativity",
          "--start", "0", "--stop", "1", "--step", "0.1"],

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from conftest import random_density
 from qcorr import closed_forms as cf
 from qcorr import oracle
+from qcorr.linalg import hermitian_eigensystem, partial_trace, purity
 from qcorr.oracle import (
     ConjectureReport,
     OptimizerConfig,
@@ -29,6 +31,7 @@ from qcorr.states import (
     DensityMatrix,
     PseudoPureParams,
     WernerParams,
+    _haar_unitary,
     build_isotropic,
     build_pseudo_pure,
     build_werner,
@@ -252,6 +255,87 @@ class TestNelderMead:
         (value, _, converged), reference, points = self.run_both(f, 6, 4)
         assert len(points) == 8 and not converged
         assert value < reference.fun
+
+
+class TestLockstep:
+    """All restarts in one batched search against one search per restart."""
+
+    @staticmethod
+    def restart_bases(rho, cfg):
+        eig = hermitian_eigensystem(partial_trace(rho.matrix, rho.dims, "A")).eigenvectors
+        d = rho.dims[1]
+        return [eig] + [_haar_unitary(d, np.random.default_rng([cfg.seed, r]))
+                        for r in range(1, cfg.restarts)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("measure", ["ce", "gd"])
+    def test_equals_sequential_restarts(self, d, measure, monkeypatch):
+        if d >= 4:  # an iteration cap keeps the sequential runs short
+            monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 60)
+        rho = build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, 40 + d)))
+        cfg = OptimizerConfig(restarts=4, seed=d)
+        if measure == "ce":
+            single, batched = measured_conditional_entropy, oracle._ce_of_blocks
+        else:
+            single = gd_objective
+            batched = functools.partial(oracle._purity_loss, purity(rho.matrix))
+        res = oracle._minimize_over_bases(rho, cfg, batched)
+
+        n = d * (d - 1)
+        simplex = np.zeros((n + 1, n))
+        simplex[1:] = np.eye(n) * oracle._SIMPLEX_STEP
+        values, points, counts = [], [], []
+        for base in self.restart_bases(rho, cfg):
+            calls = []
+
+            def f(x, base=base, calls=calls):
+                calls.append(x)
+                return single(rho, oracle._givens_basis(x, base))
+
+            value, x, _ = oracle._nelder_mead(f, simplex, oracle._MAX_ITERATIONS,
+                                              cfg.step_tolerance, oracle._OBJECTIVE_TOLERANCE)
+            values.append(value)
+            points.append(oracle._givens_basis(x, base))
+            counts.append(len(calls))
+
+        assert len(set(res.evaluations)) > 1  # the restarts leave the batch at different rounds
+        assert res.evaluations == tuple(counts)
+        assert np.array(res.per_restart_values).tobytes() == np.array(values).tobytes()
+        assert res.argmin_basis.tobytes() == points[int(np.argmin(values))].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batched_objectives_match_single_basis(self, d, rng):
+        # B in |0><0|: measured in the standard basis, outcomes 1.. have probability 0,
+        # while every outcome of the Haar-random bases in the same batch is kept
+        product = DensityMatrix(np.kron(random_density(d, rng), np.diag(np.eye(d)[0])), (d, d))
+        generic = DensityMatrix(random_density(d * d, rng), (d, d))
+        bases = np.array([np.eye(d, dtype=complex)] + [random_unitary(d, s) for s in range(3)])
+        for rho in (product, generic):
+            tau = oracle._measurement_blocks(oracle._paired_b_indices(rho), bases)
+            if rho is product:
+                p = np.einsum("rkaa->rk", tau).real
+                assert (p[0, 1:] == 0).all() and (p[1:] > oracle.ZERO_PROBABILITY).all()
+            ce = oracle._ce_of_blocks(tau)
+            gd = oracle._purity_loss(purity(rho.matrix), tau)
+            for r, basis in enumerate(bases):
+                assert ce[r] == measured_conditional_entropy(rho, basis)
+                assert gd[r] == gd_objective(rho, basis)
+
+    def test_evaluation_counts(self):
+        rho = build_pseudo_pure(PseudoPureParams(3, 0.6, random_schmidt_vector(3, 5)))
+        res = minimize_conditional_entropy(rho, FAST)
+        assert len(res.evaluations) == FAST.restarts
+        assert all(1 <= count <= 2 * oracle._MAX_ITERATIONS for count in res.evaluations)
+
+    def test_tolerance_stop_takes_fewer_evaluations_than_budget_cap(self):
+        cfg = OptimizerConfig(restarts=1, seed=1)
+        small = minimize_conditional_entropy(
+            build_pseudo_pure(PseudoPureParams(3, 0.6, random_schmidt_vector(3, 5))), cfg)
+        large = minimize_conditional_entropy(
+            build_pseudo_pure(PseudoPureParams(5, 0.6, random_schmidt_vector(5, 5))), cfg)
+        assert small.converged and not large.converged
+        assert large.evaluations == (2 * oracle._MAX_ITERATIONS,)
+        assert small.evaluations[0] < large.evaluations[0]
 
 
 def test_import_leaves_scipy_unloaded():
