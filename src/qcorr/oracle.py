@@ -9,21 +9,20 @@ which every closed form in the package is cross-checked.
 
 The measurement search is restricted to orthonormal (rank-one projective)
 bases on the measured side; for states outside the implemented families
-the minimized value is therefore an upper bound on the discord. Bases are
-parametrized as a product of d(d-1)/2 complex Givens rotations (two angles
-each) applied to a restart basis; restart 0 uses an eigenbasis of the
-measured marginal, the rest are Haar-random with deterministic per-restart
-seeds, and each restart runs a derivative-free simplex descent. The restarts
-advance in lockstep: each round stacks the next point of every unfinished
-restart and evaluates them all in one batched call (one stack of rotated
-bases, one block contraction, one eigensolve), with the same bits as running
-the restarts one after another.
+the minimized value is therefore an upper bound on the discord. Every
+restart starts from a Haar-random basis with a deterministic per-restart
+seed and runs a saddle-free Newton descent on U(d) (Edelman, Arias & Smith,
+SIAM J. Matrix Anal. Appl. 20, 1998): the objectives' analytic gradients
+along the d(d-1) off-diagonal skew-Hermitian generators (column phases do
+not change a measurement), a Hessian from forward differences of those
+gradients, a step along the Hessian's eigenvectors scaled by the inverse
+absolute eigenvalues, and an exponential retraction. All restarts advance
+together, so every basis evaluation is one batched call over a stack of
+bases, and a restart's result does not depend on the others.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,9 +55,9 @@ OPTIMAL_BASIS_GAP_TOL = 1e-6
 COMMUTATOR_NORM_TOL = 1e-8
 CONJECTURE_GAP_TOL = 1e-10
 
-_SIMPLEX_STEP = 0.25
-_MAX_ITERATIONS = 2000  # per restart; evaluations are capped at twice this
-_OBJECTIVE_TOLERANCE = 1e-9
+_MAX_ITERATIONS = 100  # Newton steps per restart
+_HESSIAN_STEP = 1e-6
+_CURVATURE_FLOOR = 1e-8  # relative to the largest |eigenvalue| of the Hessian
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,8 @@ class OptimizerResult:
     value: float
     argmin_basis: np.ndarray
     per_restart_values: tuple[float, ...]
-    converged: bool
-    evaluations: tuple[int, ...]  # objective evaluations per restart
+    converged: bool  # the best restart stopped in fewer than _MAX_ITERATIONS steps
+    evaluations: tuple[int, ...]  # basis evaluations per restart
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,6 @@ class ConditionalEnsemble:
 
     probabilities: np.ndarray
     conditional_states: tuple[np.ndarray, ...]
-
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """Unnormalized blocks p_k * rho^A_k."""
-        return tuple(p * s for p, s in zip(self.probabilities, self.conditional_states))
 
 
 def _check_basis(basis, d: int) -> np.ndarray:
@@ -120,39 +115,45 @@ def _paired_b_indices(rho: DensityMatrix) -> np.ndarray:
     return np.ascontiguousarray(rho4.transpose(0, 2, 1, 3)).reshape(dA * dA * dB, dB)
 
 
-def _measurement_blocks(r2: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _measurement_blocks(r2: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacks of unnormalized post-measurement blocks tau_k = <eta_k|rho|eta_k>.
 
     r2 comes from _paired_b_indices; B is an (R, dB, dB) stack of bases with
-    the basis vectors as columns. Returns an (R, dB, dA, dA) stack.
+    the basis vectors as columns. Returns the (R, dB, dA, dA) blocks and the
+    products r2 @ B as an (R, dA*dA, dB, dB) stack indexed [r, (a,c), b, k].
     """
     R, dB = B.shape[0], B.shape[1]
-    dA = int(round(math.sqrt(r2.shape[0] // dB)))
+    products = (r2 @ B).reshape(R, -1, dB, dB)
+    dA = int(round(math.sqrt(products.shape[1])))
     # tau[r, (a,c), k] = sum_{b,d} conj(B[r,b,k]) r2[(a,c,b), d] B[r,d,k]
-    contracted = (B.conj()[:, None] * (r2 @ B).reshape(R, dA * dA, dB, dB)).sum(axis=2)
-    return contracted.reshape(R, dA, dA, dB).transpose(0, 3, 1, 2)
+    contracted = (B.conj()[:, None] * products).sum(axis=2)
+    return contracted.reshape(R, dA, dA, dB).transpose(0, 3, 1, 2), products
 
 
 def _blocks(rho: DensityMatrix, basis) -> np.ndarray:
     """The (1, dB, dA, dA) blocks of measuring side B of `rho` in `basis`."""
-    return _measurement_blocks(_paired_b_indices(rho), _check_basis(basis, rho.dims[1])[None])
+    return _measurement_blocks(_paired_b_indices(rho), _check_basis(basis, rho.dims[1])[None])[0]
 
 
-def _ce_of_blocks(tau: np.ndarray) -> np.ndarray:
-    """Average conditional entropy sum_k p_k S(tau_k / p_k) in bits, per basis."""
+def _ce_of_blocks(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average conditional entropy sum_k p_k S(tau_k / p_k) in bits, per basis.
+
+    Also returns the derivative weights G_k = -log2(tau_k / p_k), with
+    d(value) = sum_k tr(G_k dtau_k); dropped outcomes get G_k = 0.
+    """
     p = np.einsum("rkaa->rk", tau).real
     keep = p > ZERO_PROBABILITY
     # dropped outcomes divide by 1 so that one eigensolve covers every block
-    states = tau / np.where(keep, p, 1.0)[..., None, None]
-    w = np.clip(np.linalg.eigvalsh(states), 0.0, None)
-    logs = np.log2(np.clip(w, EVAL_ZERO_CUTOFF, None))
+    w, V = np.linalg.eigh(tau / np.where(keep, p, 1.0)[..., None, None])
+    logs = np.where(keep[..., None], np.log2(np.clip(w, EVAL_ZERO_CUTOFF, None)), 0.0)
     entropies = -np.where(w > EVAL_ZERO_CUTOFF, w * logs, 0.0).sum(axis=-1)
-    return np.array([p_r[k] @ s_r[k] for p_r, s_r, k in zip(p, entropies, keep)])
+    weights = -(V * logs[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    return (p * entropies).sum(axis=-1), weights
 
 
-def _purity_loss(rho_purity: float, tau: np.ndarray) -> np.ndarray:
-    """tr(rho^2) - sum_k tr(tau_k^2), per basis."""
-    return rho_purity - np.einsum("rkab,rkab->r", tau, tau.conj()).real
+def _purity_loss(rho_purity: float, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tr(rho^2) - sum_k tr(tau_k^2) per basis, and its derivative weights G_k = -2 tau_k."""
+    return rho_purity - np.einsum("rkab,rkab->r", tau, tau.conj()).real, -2.0 * tau
 
 
 def conditional_ensemble(rho: DensityMatrix, basis) -> ConditionalEnsemble:
@@ -172,171 +173,109 @@ def conditional_ensemble(rho: DensityMatrix, basis) -> ConditionalEnsemble:
 
 def measured_conditional_entropy(rho: DensityMatrix, basis) -> float:
     """sum_k p_k S(rho^A_k) for a measurement of side B in `basis`, in bits."""
-    return float(_ce_of_blocks(_blocks(rho, basis))[0])
+    return float(_ce_of_blocks(_blocks(rho, basis))[0][0])
 
 
-def _givens_basis(x: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Apply the product of complex Givens rotations with angles x to `base`.
+def _skew(s: np.ndarray, d: int) -> np.ndarray:
+    """sum_m s_m E_m, a d x d skew-Hermitian matrix, for each row s of coefficients.
 
-    The last axis of x holds (theta, phi) for each column pair i < j, and
-    base is a matching d x d matrix or stack of them; each rotation is
-    exactly unitary, so the columns stay orthonormal.
+    The first half of a row holds the real parts of the entries (i, j),
+    i < j, the second half their imaginary parts; the diagonal is zero.
     """
-    d = base.shape[-1]
-    U = np.array(base, copy=True)
-    angles = x.ravel().tolist()
-    cos = np.array(list(map(math.cos, angles))).reshape(x.shape)
-    sin = np.array(list(map(math.sin, angles))).reshape(x.shape)
-    c, s = cos[..., 0::2, None], sin[..., 0::2, None]
-    e = np.empty(c.shape, dtype=complex)
-    e.real, e.imag = cos[..., 1::2, None], sin[..., 1::2, None]
-    se, mse = s * e, -s * e.conj()
-    for idx, (i, j) in enumerate(itertools.combinations(range(d), 2)):
-        col_i, col_j = U[..., i], U[..., j]
-        new_i = c[..., idx, :] * col_i + se[..., idx, :] * col_j
-        U[..., j] = mse[..., idx, :] * col_i + c[..., idx, :] * col_j
-        U[..., i] = new_i
-    return U
+    half = d * (d - 1) // 2
+    i, j = np.triu_indices(d, 1)
+    X = np.zeros((s.shape[0], d, d), dtype=complex)
+    X[:, i, j] = s[:, :half] + 1j * s[:, half:]
+    X[:, j, i] = -s[:, :half] + 1j * s[:, half:]
+    return X
 
 
-class _BudgetExhausted(Exception):
-    """An evaluation was asked for past the budget; the search ends mid-step."""
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp(X) for a stack of skew-Hermitian X, from the eigensystem of the Hermitian iX."""
+    w, V = np.linalg.eigh(1j * X)
+    return (V * np.exp(-1j * w)[:, None, :]) @ V.conj().swapaxes(1, 2)
 
 
-def _simplex_search(simplex: np.ndarray, max_iterations: int, xatol: float, fatol: float):
-    """Nelder-Mead from `simplex` ((n + 1) x n vertices), as a generator.
+def _value_and_gradient(r2: np.ndarray, U: np.ndarray, value_of_blocks):
+    """Objective values at the stack of bases U, and their gradients along the generators.
 
-    Yields each point it wants evaluated and must be sent its value. Takes
-    the steps of scipy's `minimize(method="Nelder-Mead")` with
-    `initial_simplex`, `maxiter=max_iterations`, `maxfev=2*max_iterations`,
-    `xatol`, `fatol` and `adaptive=(n > 12)`, in the same arithmetic and
-    argsort order, so a run evaluates the same points bit for bit. Returns
-    the lowest value evaluated, the point where it was first reached,
-    whether the tolerances (not the budget) stopped the search, and the
-    number of evaluations.
+    With Gamma[b,k] = sum G_k[c,a] rho[(a,b),(c,d)] U[d,k] and A = U^dagger Gamma,
+    the derivative along U -> U exp(t E_m) is g_m = 2 Re tr(A^dagger E_m).
     """
-    sim = np.array(simplex, dtype=float)
-    n = sim.shape[1]
-    # reflection coefficient 1 throughout; Gao-Han coefficients above 12 variables
-    chi, psi, sigma = (1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n) if n > 12 else (2, 0.5, 0.5)
-    evaluations, best_value, best_x = 0, math.inf, sim[0]
-
-    def evaluate(x):
-        nonlocal evaluations, best_value, best_x
-        if evaluations >= 2 * max_iterations:
-            raise _BudgetExhausted
-        evaluations += 1
-        x = x.copy()
-        value = yield x
-        if value < best_value:
-            best_value, best_x = value, x
-        return value
-
-    def ordered(sim, fsim):
-        ind = fsim.argsort()
-        return sim.take(ind, 0), fsim.take(ind, 0)
-
-    converged = False
-    try:
-        fsim = np.empty(n + 1)
-        for k in range(n + 1):
-            fsim[k] = yield from evaluate(sim[k])
-        # sorted twice, as scipy does: argsort need not keep ties in place
-        sim, fsim = ordered(*ordered(sim, fsim))
-        iterations = 1
-        while evaluations < 2 * max_iterations and iterations < max_iterations:
-            if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
-                converged = True
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = yield from evaluate(xr)
-            if fxr < fsim[0]:
-                xe = (1 + chi) * xbar - chi * sim[-1]
-                fxe = yield from evaluate(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = (1 + psi) * xbar - psi * sim[-1]
-                    fxc = yield from evaluate(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = yield from evaluate(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink towards the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = yield from evaluate(sim[j])
-            iterations += 1
-            sim, fsim = ordered(sim, fsim)
-    except _BudgetExhausted:
-        pass
-    return best_value, best_x, converged, evaluations
+    tau, products = _measurement_blocks(r2, U)
+    value, G = value_of_blocks(tau)
+    R, dB, dA = G.shape[:3]
+    weights = G.transpose(0, 3, 2, 1).reshape(R, dA * dA, 1, dB)
+    A = U.conj().swapaxes(1, 2) @ (weights * products).sum(axis=1)
+    i, j = np.triu_indices(dB, 1)
+    return value, 2.0 * np.concatenate(
+        [(A[:, i, j] - A[:, j, i]).real, (A[:, i, j] + A[:, j, i]).imag], axis=1)
 
 
-def _lockstep(searches: list, evaluate) -> list:
-    """Run `_simplex_search` generators side by side; returns their results in order.
+def _newton_descent(r2: np.ndarray, U: np.ndarray, value_of_blocks, tolerance: float):
+    """Saddle-free Newton descent on U(d) from each basis of the stack U.
 
-    Each round stacks the pending points of the active searches and gets
-    their values from one call of `evaluate(active, points)`; a search that
-    returns leaves the batch.
+    Every restart takes the step -V |Lambda|^-1 V^T g from the eigensystem of
+    its symmetrised finite-difference Hessian and halves it until the value
+    decreases. A restart stops when its gradient or its accepted step is
+    within `tolerance`, when no decrease is found, or after _MAX_ITERATIONS
+    steps. Returns the final values and bases, the basis evaluations per
+    restart, and whether each restart stopped in fewer than _MAX_ITERATIONS steps.
     """
-    results: list = [None] * len(searches)
-    pending = {}
-
-    def advance(i, value):
-        try:
-            pending[i] = searches[i].send(value)
-        except StopIteration as stop:
-            pending.pop(i, None)
-            results[i] = stop.value
-
-    for i in range(len(searches)):
-        advance(i, None)
-    while pending:
-        active = list(pending)
-        values = evaluate(active, np.array([pending[i] for i in active]))
-        for i, value in zip(active, values):
-            advance(i, float(value))
-    return results
-
-
-def _nelder_mead(f, simplex: np.ndarray, max_iterations: int, xatol: float, fatol: float):
-    """Minimize f from `simplex` by one `_simplex_search`; returns its first three results."""
-    search = _simplex_search(simplex, max_iterations, xatol, fatol)
-    (result,) = _lockstep([search], lambda _, points: [f(points[0])])
-    return result[:3]
+    U = np.array(U, dtype=complex)
+    R, d = U.shape[:2]
+    n = d * (d - 1)
+    probes = _expm(_HESSIAN_STEP * _skew(np.eye(n), d))  # exp(h E_m)
+    value, g = _value_and_gradient(r2, U, value_of_blocks)
+    evaluations, steps = np.ones(R, dtype=int), np.zeros(R, dtype=int)
+    active = np.abs(g).max(axis=1) > tolerance
+    step = np.zeros((R, n))
+    while active.any():
+        a = np.flatnonzero(active)
+        hessian = np.empty((a.size, n, n))
+        for m in range(n):  # one direction per call: no stack holds more than R bases
+            probed = _value_and_gradient(r2, U[a] @ probes[m], value_of_blocks)[1]
+            hessian[:, :, m] = (probed - g[a]) / _HESSIAN_STEP
+        evaluations[a] += n
+        steps[a] += 1
+        # a complex eigensolve reuses the LAPACK routine of the blocks; a real one
+        # would add its own code pages to the peak RSS
+        lam, V = np.linalg.eigh(((hessian + hessian.swapaxes(1, 2)) / 2.0).astype(complex))
+        curvature = np.abs(lam)
+        curvature = np.maximum(curvature, _CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True))
+        projected = V.conj().swapaxes(1, 2) @ g[a, :, None]
+        step[a] = -(V @ (projected / curvature[..., None])).real[..., 0]
+        t, pending = 1.0, a
+        while pending.size:
+            trial = U[pending] @ _expm(_skew(t * step[pending], d))
+            trial_value, trial_g = _value_and_gradient(r2, trial, value_of_blocks)
+            evaluations[pending] += 1
+            better = trial_value < value[pending]
+            small = t * np.abs(step[pending]).max(axis=1) <= tolerance
+            accepted = pending[better]
+            U[accepted], value[accepted] = trial[better], trial_value[better]
+            g[accepted] = trial_g[better]
+            active[pending[small]] = False
+            active[accepted[np.abs(trial_g[better]).max(axis=1) <= tolerance]] = False
+            pending, t = pending[~better & ~small], t / 2.0
+        active &= steps < _MAX_ITERATIONS
+    return value, U, evaluations, steps < _MAX_ITERATIONS
 
 
 def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_blocks) -> OptimizerResult:
-    """Multi-start simplex descent of a blocks functional over projective bases."""
+    """Multi-start Newton descent of a blocks functional over projective bases."""
     dB = rho.dims[1]
     if dB > MAX_MEASURED_DIM:
         raise ValueError(
             f"measured dimension {dB} exceeds the optimization envelope {MAX_MEASURED_DIM}"
         )
-    r2 = _paired_b_indices(rho)
-    eig_basis = hermitian_eigensystem(partial_trace(rho.matrix, rho.dims, "A")).eigenvectors
-    bases = np.array([eig_basis] + [_haar_unitary(dB, np.random.default_rng([cfg.seed, r]))
-                                     for r in range(1, cfg.restarts)])
-
-    n = dB * (dB - 1)
-    simplex = np.zeros((n + 1, n))
-    simplex[1:] = np.eye(n) * _SIMPLEX_STEP
-    searches = [_simplex_search(simplex, _MAX_ITERATIONS, cfg.step_tolerance, _OBJECTIVE_TOLERANCE)
-                for _ in bases]
-    results = _lockstep(searches, lambda active, x: value_of_blocks(
-        _measurement_blocks(r2, _givens_basis(x, bases[active]))))
-    values, points, converged, evaluations = zip(*results)
-    best = values.index(min(values))
-    return OptimizerResult(values[best], _givens_basis(points[best], bases[best]), values,
-                           any(converged), evaluations)
+    bases = np.array([_haar_unitary(dB, np.random.default_rng([cfg.seed, r]))
+                      for r in range(cfg.restarts)])
+    values, bases, evaluations, converged = _newton_descent(
+        _paired_b_indices(rho), bases, value_of_blocks, cfg.step_tolerance)
+    best = int(np.argmin(values))
+    return OptimizerResult(float(values[best]), bases[best], tuple(map(float, values)),
+                           bool(converged[best]), tuple(map(int, evaluations)))
 
 
 def minimize_conditional_entropy(rho: DensityMatrix, cfg: OptimizerConfig) -> OptimizerResult:
@@ -361,12 +300,13 @@ def mutual_information_numeric(rho: DensityMatrix) -> float:
 
 def gd_objective(rho: DensityMatrix, basis) -> float:
     """tr(rho^2) - sum_k tr(tau_k^2) for a measurement of side B in `basis`."""
-    return float(_purity_loss(purity(rho.matrix), _blocks(rho, basis))[0])
+    return float(_purity_loss(purity(rho.matrix), _blocks(rho, basis))[0][0])
 
 
 def gd_numeric(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
     """Geometric discord: d/(d-1) times the minimized purity loss."""
-    result = _minimize_over_bases(rho, cfg, functools.partial(_purity_loss, purity(rho.matrix)))
+    rho_purity = purity(rho.matrix)
+    result = _minimize_over_bases(rho, cfg, lambda tau: _purity_loss(rho_purity, tau))
     dB = rho.dims[1]
     return dB / (dB - 1.0) * result.value
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the heavy oracle-equivalence checks take a few minutes in total.
+lines; the oracle-equivalence checks take about ten seconds in total.
 """
 
 import json

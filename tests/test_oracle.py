@@ -1,4 +1,3 @@
-import functools
 import math
 import os
 import subprocess
@@ -12,7 +11,7 @@ from numpy.testing import assert_allclose
 from conftest import random_density
 from qcorr import closed_forms as cf
 from qcorr import oracle
-from qcorr.linalg import hermitian_eigensystem, partial_trace, purity
+from qcorr.linalg import partial_trace, purity, von_neumann_entropy
 from qcorr.oracle import (
     ConjectureReport,
     OptimizerConfig,
@@ -188,120 +187,39 @@ class TestMinimizeConditionalEntropy:
             minimize_conditional_entropy(rho, FAST)
 
 
-class TestNelderMead:
-    """The built-in simplex loop against its reference, scipy's Nelder-Mead."""
-
-    @staticmethod
-    def run_both(objective, n, max_iterations):
-        """Run both on `objective`; returns (ours, scipy's result, scipy's evaluated points)."""
-        optimize = pytest.importorskip("scipy.optimize")
-        simplex = np.zeros((n + 1, n))
-        simplex[1:] = np.eye(n) * oracle._SIMPLEX_STEP
-        xatol, fatol = 1e-10, oracle._OBJECTIVE_TOLERANCE
-        ours_calls, scipy_calls = [], []
-
-        def recorded(calls):
-            def f(x):
-                value = objective(x)
-                calls.append((x.copy(), value))
-                return value
-            return f
-
-        ours = oracle._nelder_mead(recorded(ours_calls), simplex, max_iterations, xatol, fatol)
-        reference = optimize.minimize(
-            recorded(scipy_calls), np.zeros(n), method="Nelder-Mead",
-            options={"maxiter": max_iterations, "maxfev": 2 * max_iterations,
-                     "xatol": xatol, "fatol": fatol, "initial_simplex": simplex,
-                     "adaptive": n > 12},
-        )
-        points = np.array([x for x, _ in scipy_calls])
-        values = [v for _, v in scipy_calls]
-        assert np.array([x for x, _ in ours_calls]).tobytes() == points.tobytes()
-        assert len(ours_calls) == len(values) == reference.nfev
-        first_min = int(np.argmin(values))
-        value, x, converged = ours
-        assert value == values[first_min]
-        assert x.tobytes() == points[first_min].tobytes()
-        assert converged == reference.success
-        return ours, reference, points
-
-    @staticmethod
-    def objective(measure, d):
-        rho = build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, 5)))
-        base = random_unitary(d, 2)
-        return lambda x: measure(rho, oracle._givens_basis(x, base))
-
-    def test_conditional_entropy_d3(self):
-        f = self.objective(measured_conditional_entropy, 3)
-        (value, _, converged), reference, _ = self.run_both(f, 6, oracle._MAX_ITERATIONS)
-        assert converged
-        assert value == reference.fun
-
-    def test_geometric_discord_d5_adaptive(self):
-        f = self.objective(gd_objective, 5)
-        (value, _, _), reference, points = self.run_both(f, 20, oracle._MAX_ITERATIONS)
-        assert len(points) > 1000
-        assert value <= reference.fun
-
-    def test_adaptive_shrink(self):
-        # the basis objectives at 20 variables never shrink the simplex; this rippled bowl does
-        self.run_both(lambda x: float(np.sum(np.sin(7 * x) + x * x)), 20, oracle._MAX_ITERATIONS)
-
-    def test_budget_runs_out_mid_step(self):
-        # 8 evaluations: the 7 vertices and a reflection that beats them all.
-        # The expansion that would complete the step is refused, so scipy's
-        # final simplex never holds the best point evaluated.
-        f = self.objective(measured_conditional_entropy, 3)
-        (value, _, converged), reference, points = self.run_both(f, 6, 4)
-        assert len(points) == 8 and not converged
-        assert value < reference.fun
+def blocks_kernel(measure, rho):
+    """The batched objective of the discord ("ce") or gd search on `rho`."""
+    if measure == "ce":
+        return oracle._ce_of_blocks
+    rho_purity = purity(rho.matrix)
+    return lambda tau: oracle._purity_loss(rho_purity, tau)
 
 
 class TestLockstep:
     """All restarts in one batched search against one search per restart."""
 
-    @staticmethod
-    def restart_bases(rho, cfg):
-        eig = hermitian_eigensystem(partial_trace(rho.matrix, rho.dims, "A")).eigenvectors
-        d = rho.dims[1]
-        return [eig] + [_haar_unitary(d, np.random.default_rng([cfg.seed, r]))
-                        for r in range(1, cfg.restarts)]
-
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("measure", ["ce", "gd"])
-    def test_equals_sequential_restarts(self, d, measure, monkeypatch):
-        if d >= 4:  # an iteration cap keeps the sequential runs short
-            monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 60)
+    def test_equals_sequential_restarts(self, d, measure):
         rho = build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, 40 + d)))
         cfg = OptimizerConfig(restarts=4, seed=d)
-        if measure == "ce":
-            single, batched = measured_conditional_entropy, oracle._ce_of_blocks
-        else:
-            single = gd_objective
-            batched = functools.partial(oracle._purity_loss, purity(rho.matrix))
-        res = oracle._minimize_over_bases(rho, cfg, batched)
+        kernel = blocks_kernel(measure, rho)
+        res = oracle._minimize_over_bases(rho, cfg, kernel)
 
-        n = d * (d - 1)
-        simplex = np.zeros((n + 1, n))
-        simplex[1:] = np.eye(n) * oracle._SIMPLEX_STEP
-        values, points, counts = [], [], []
-        for base in self.restart_bases(rho, cfg):
-            calls = []
+        r2 = oracle._paired_b_indices(rho)
+        values, bases, counts = [], [], []
+        for r in range(cfg.restarts):
+            start = _haar_unitary(d, np.random.default_rng([cfg.seed, r]))[None]
+            value, basis, evaluations, _ = oracle._newton_descent(r2, start, kernel,
+                                                                  cfg.step_tolerance)
+            values.append(value[0])
+            bases.append(basis[0])
+            counts.append(int(evaluations[0]))
 
-            def f(x, base=base, calls=calls):
-                calls.append(x)
-                return single(rho, oracle._givens_basis(x, base))
-
-            value, x, _ = oracle._nelder_mead(f, simplex, oracle._MAX_ITERATIONS,
-                                              cfg.step_tolerance, oracle._OBJECTIVE_TOLERANCE)
-            values.append(value)
-            points.append(oracle._givens_basis(x, base))
-            counts.append(len(calls))
-
-        assert len(set(res.evaluations)) > 1  # the restarts leave the batch at different rounds
+        assert len(set(res.evaluations)) > 1  # the restarts leave the batch at different steps
         assert res.evaluations == tuple(counts)
         assert np.array(res.per_restart_values).tobytes() == np.array(values).tobytes()
-        assert res.argmin_basis.tobytes() == points[int(np.argmin(values))].tobytes()
+        assert res.argmin_basis.tobytes() == bases[int(np.argmin(values))].tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batched_objectives_match_single_basis(self, d, rng):
@@ -311,31 +229,88 @@ class TestLockstep:
         generic = DensityMatrix(random_density(d * d, rng), (d, d))
         bases = np.array([np.eye(d, dtype=complex)] + [random_unitary(d, s) for s in range(3)])
         for rho in (product, generic):
-            tau = oracle._measurement_blocks(oracle._paired_b_indices(rho), bases)
+            tau, _ = oracle._measurement_blocks(oracle._paired_b_indices(rho), bases)
             if rho is product:
                 p = np.einsum("rkaa->rk", tau).real
                 assert (p[0, 1:] == 0).all() and (p[1:] > oracle.ZERO_PROBABILITY).all()
-            ce = oracle._ce_of_blocks(tau)
-            gd = oracle._purity_loss(purity(rho.matrix), tau)
+            ce, weights = oracle._ce_of_blocks(tau)
+            if rho is product:  # dropped outcomes carry no derivative weight
+                assert (weights[0, 1:] == 0).all()
+            gd, _ = oracle._purity_loss(purity(rho.matrix), tau)
             for r, basis in enumerate(bases):
                 assert ce[r] == measured_conditional_entropy(rho, basis)
                 assert gd[r] == gd_objective(rho, basis)
 
-    def test_evaluation_counts(self):
+    def test_evaluation_counts(self, monkeypatch):
+        rows = []
+        evaluate = oracle._value_and_gradient
+
+        def counted(r2, U, value_of_blocks):
+            rows.append(len(U))
+            return evaluate(r2, U, value_of_blocks)
+
+        monkeypatch.setattr(oracle, "_value_and_gradient", counted)
         rho = build_pseudo_pure(PseudoPureParams(3, 0.6, random_schmidt_vector(3, 5)))
         res = minimize_conditional_entropy(rho, FAST)
         assert len(res.evaluations) == FAST.restarts
-        assert all(1 <= count <= 2 * oracle._MAX_ITERATIONS for count in res.evaluations)
+        assert sum(res.evaluations) == sum(rows)
+        assert max(rows) <= FAST.restarts
+        # the start, then per step 6 Hessian probes and at least one trial
+        assert min(res.evaluations) >= 1 + 6 + 1
 
-    def test_tolerance_stop_takes_fewer_evaluations_than_budget_cap(self):
-        cfg = OptimizerConfig(restarts=1, seed=1)
-        small = minimize_conditional_entropy(
-            build_pseudo_pure(PseudoPureParams(3, 0.6, random_schmidt_vector(3, 5))), cfg)
-        large = minimize_conditional_entropy(
-            build_pseudo_pure(PseudoPureParams(5, 0.6, random_schmidt_vector(5, 5))), cfg)
-        assert small.converged and not large.converged
-        assert large.evaluations == (2 * oracle._MAX_ITERATIONS,)
-        assert small.evaluations[0] < large.evaluations[0]
+    def test_step_cap_reports_unconverged(self, monkeypatch):
+        rho = build_pseudo_pure(PseudoPureParams(4, 0.6, random_schmidt_vector(4, 5)))
+        cfg = OptimizerConfig(restarts=2, seed=1)
+        free = minimize_conditional_entropy(rho, cfg)
+        monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 2)
+        capped = minimize_conditional_entropy(rho, cfg)
+        assert free.converged and not capped.converged
+        assert capped.value > free.value + 1e-9
+        # each capped restart: the start plus 2 steps of 12 probes and at least one trial
+        assert all(27 <= count < free_count
+                   for count, free_count in zip(capped.evaluations, free.evaluations))
+
+
+class TestNewtonDescent:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("measure", ["ce", "gd"])
+    def test_gradient_matches_central_differences(self, d, measure, rng):
+        rho = DensityMatrix(random_density(d * d, rng), (d, d))
+        kernel = blocks_kernel(measure, rho)
+        r2 = oracle._paired_b_indices(rho)
+        U = np.array([random_unitary(d, s) for s in range(3)])
+        _, g = oracle._value_and_gradient(r2, U, kernel)
+        h = 1e-5
+        for m in range(d * (d - 1)):
+            e = np.zeros((1, d * (d - 1)))
+            e[0, m] = h
+            up = oracle._value_and_gradient(r2, U @ oracle._expm(oracle._skew(e, d)), kernel)[0]
+            down = oracle._value_and_gradient(r2, U @ oracle._expm(oracle._skew(-e, d)), kernel)[0]
+            assert_allclose((up - down) / (2 * h), g[:, m], atol=1e-8)
+
+    def test_retraction_stays_unitary(self, rng):
+        s = rng.standard_normal((5, 12)) * 3.0
+        X = oracle._skew(s, 4)
+        assert np.abs(X + X.conj().swapaxes(1, 2)).max() == 0.0
+        assert np.abs(np.einsum("rii->ri", X)).max() == 0.0
+        E = oracle._expm(X)
+        assert np.abs(E @ E.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_every_restart_reaches_closed_forms(self, d):
+        # Haar starts only: no restart begins at the eigenbasis of the measured marginal
+        cfg = OptimizerConfig(restarts=8, seed=d)
+        for i in range(2):
+            p = PseudoPureParams(d, 0.3 + 0.4 * i, random_schmidt_vector(d, 60 * d + i))
+            rho = build_pseudo_pure(p)
+            offset = (von_neumann_entropy(partial_trace(rho.matrix, rho.dims, "A"))
+                      - von_neumann_entropy(rho.matrix))
+            ce = minimize_conditional_entropy(rho, cfg)
+            gd = oracle._minimize_over_bases(rho, cfg, blocks_kernel("gd", rho))
+            discord_gaps = [abs(offset + v - cf.pp_discord(p)) for v in ce.per_restart_values]
+            gd_gaps = [abs(d / (d - 1) * v - cf.pp_gd(p)) for v in gd.per_restart_values]
+            assert max(discord_gaps) <= 1e-6 and max(gd_gaps) <= 1e-6
+            assert ce.converged and gd.converged
 
 
 def test_import_leaves_scipy_unloaded():
