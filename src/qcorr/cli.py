@@ -372,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--alpha", type=float, help="pseudo-pure / isotropic mixing parameter")
     compute.add_argument("--measures", required=True, type=_parse_measures, metavar="M1,M2,...")
     compute.add_argument("--numeric", action="store_true", help="add matrix-oracle rows")
-    compute.add_argument("--restarts", type=int, default=32)
-    compute.add_argument("--seed", type=int, default=0)
+    compute.add_argument("--restarts", type=int, default=oracle.OptimizerConfig.restarts)
+    compute.add_argument("--seed", type=int, default=oracle.OptimizerConfig.seed)
     compute.add_argument("--format", choices=("csv", "json"), default="csv")
     compute.add_argument("--out")
     compute.set_defaults(func=cmd_compute)
@@ -410,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--start", required=True, type=float)
     compare.add_argument("--stop", required=True, type=float)
     compare.add_argument("--step", required=True, type=float)
-    compare.add_argument("--restarts", type=int, default=32)
-    compare.add_argument("--seed", type=int, default=0)
+    compare.add_argument("--restarts", type=int, default=oracle.OptimizerConfig.restarts)
+    compare.add_argument("--seed", type=int, default=oracle.OptimizerConfig.seed)
     compare.add_argument("--out")
     compare.set_defaults(func=cmd_oracle_compare)
 

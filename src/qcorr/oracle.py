@@ -16,9 +16,10 @@ SIAM J. Matrix Anal. Appl. 20, 1998): the objectives' analytic gradients
 along the d(d-1) off-diagonal skew-Hermitian generators (column phases do
 not change a measurement), a Hessian from forward differences of those
 gradients, a step along the Hessian's eigenvectors scaled by the inverse
-absolute eigenvalues, and an exponential retraction. All restarts advance
-together, so every basis evaluation is one batched call over a stack of
-bases, and a restart's result does not depend on the others.
+absolute eigenvalues, and an exponential retraction, until the gradient or
+the accepted step is within _STEP_TOLERANCE. All restarts advance together,
+so every basis evaluation is one batched call over a stack of bases, and a
+restart's result does not depend on the others.
 """
 
 from __future__ import annotations
@@ -56,23 +57,21 @@ COMMUTATOR_NORM_TOL = 1e-8
 CONJECTURE_GAP_TOL = 1e-10
 
 _MAX_ITERATIONS = 100  # Newton steps per restart
+_STEP_TOLERANCE = 1e-10  # stop below this gradient or accepted-step size
 _HESSIAN_STEP = 1e-6
 _CURVATURE_FLOOR = 1e-8  # relative to the largest |eigenvalue| of the Hessian
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start settings for the measurement-basis minimizations."""
+    """Restarts and seed of the basis minimizations; every restart stops on _STEP_TOLERANCE."""
 
     restarts: int = 32
-    step_tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -212,13 +211,15 @@ def _value_and_gradient(r2: np.ndarray, U: np.ndarray, value_of_blocks):
         [(A[:, i, j] - A[:, j, i]).real, (A[:, i, j] + A[:, j, i]).imag], axis=1)
 
 
-def _newton_descent(r2: np.ndarray, U: np.ndarray, value_of_blocks, tolerance: float):
+def _newton_descent(U: np.ndarray, value_and_gradient):
     """Saddle-free Newton descent on U(d) from each basis of the stack U.
 
-    Every restart takes the step -V |Lambda|^-1 V^T g from the eigensystem of
-    its symmetrised finite-difference Hessian and halves it until the value
-    decreases. A restart stops when its gradient or its accepted step is
-    within `tolerance`, when no decrease is found, or after _MAX_ITERATIONS
+    `value_and_gradient` maps a stack of bases to their values and their
+    gradients along the generators. Every restart takes the step
+    -V |Lambda|^-1 V^T g from the eigensystem of its symmetrised
+    finite-difference Hessian and halves it until the value decreases. A
+    restart stops when its gradient or its accepted step is within
+    _STEP_TOLERANCE, when no decrease is found, or after _MAX_ITERATIONS
     steps. Returns the final values and bases, the basis evaluations per
     restart, and whether each restart stopped in fewer than _MAX_ITERATIONS steps.
     """
@@ -226,15 +227,15 @@ def _newton_descent(r2: np.ndarray, U: np.ndarray, value_of_blocks, tolerance: f
     R, d = U.shape[:2]
     n = d * (d - 1)
     probes = _expm(_HESSIAN_STEP * _skew(np.eye(n), d))  # exp(h E_m)
-    value, g = _value_and_gradient(r2, U, value_of_blocks)
+    value, g = value_and_gradient(U)
     evaluations, steps = np.ones(R, dtype=int), np.zeros(R, dtype=int)
-    active = np.abs(g).max(axis=1) > tolerance
+    active = np.abs(g).max(axis=1) > _STEP_TOLERANCE
     step = np.zeros((R, n))
     while active.any():
         a = np.flatnonzero(active)
         hessian = np.empty((a.size, n, n))
         for m in range(n):  # one direction per call: no stack holds more than R bases
-            probed = _value_and_gradient(r2, U[a] @ probes[m], value_of_blocks)[1]
+            probed = value_and_gradient(U[a] @ probes[m])[1]
             hessian[:, :, m] = (probed - g[a]) / _HESSIAN_STEP
         evaluations[a] += n
         steps[a] += 1
@@ -248,15 +249,15 @@ def _newton_descent(r2: np.ndarray, U: np.ndarray, value_of_blocks, tolerance: f
         t, pending = 1.0, a
         while pending.size:
             trial = U[pending] @ _expm(_skew(t * step[pending], d))
-            trial_value, trial_g = _value_and_gradient(r2, trial, value_of_blocks)
+            trial_value, trial_g = value_and_gradient(trial)
             evaluations[pending] += 1
             better = trial_value < value[pending]
-            small = t * np.abs(step[pending]).max(axis=1) <= tolerance
+            small = t * np.abs(step[pending]).max(axis=1) <= _STEP_TOLERANCE
             accepted = pending[better]
             U[accepted], value[accepted] = trial[better], trial_value[better]
             g[accepted] = trial_g[better]
             active[pending[small]] = False
-            active[accepted[np.abs(trial_g[better]).max(axis=1) <= tolerance]] = False
+            active[accepted[np.abs(trial_g[better]).max(axis=1) <= _STEP_TOLERANCE]] = False
             pending, t = pending[~better & ~small], t / 2.0
         active &= steps < _MAX_ITERATIONS
     return value, U, evaluations, steps < _MAX_ITERATIONS
@@ -269,10 +270,11 @@ def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_bloc
         raise ValueError(
             f"measured dimension {dB} exceeds the optimization envelope {MAX_MEASURED_DIM}"
         )
+    r2 = _paired_b_indices(rho)
     bases = np.array([_haar_unitary(dB, np.random.default_rng([cfg.seed, r]))
                       for r in range(cfg.restarts)])
     values, bases, evaluations, converged = _newton_descent(
-        _paired_b_indices(rho), bases, value_of_blocks, cfg.step_tolerance)
+        bases, lambda U: _value_and_gradient(r2, U, value_of_blocks))
     best = int(np.argmin(values))
     return OptimizerResult(float(values[best]), bases[best], tuple(map(float, values)),
                            bool(converged[best]), tuple(map(int, evaluations)))

@@ -86,10 +86,6 @@ class WernerParams:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam!r}")
 
-    @property
-    def separable(self) -> bool:
-        return self.lam <= 0.5
-
 
 @dataclass(frozen=True)
 class PseudoPureParams:
@@ -183,9 +179,7 @@ def build_pseudo_pure(p: PseudoPureParams) -> DensityMatrix:
 
 def build_isotropic(d: int, alpha: float) -> DensityMatrix:
     """Isotropic state: pseudo-pure with a maximally entangled pure part."""
-    d = _check_dimension(d)
-    u = np.full(d, 1.0 / np.sqrt(d))
-    return build_pseudo_pure(PseudoPureParams(d, alpha, u))
+    return build_pseudo_pure(isotropic_params(d, alpha))
 
 
 def isotropic_params(d: int, alpha: float) -> PseudoPureParams:

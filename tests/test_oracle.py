@@ -40,7 +40,7 @@ from qcorr.states import (
     schmidt_state_vector,
 )
 
-FAST = OptimizerConfig(restarts=6, seed=11, step_tolerance=1e-7)
+FAST = OptimizerConfig(restarts=6, seed=11)
 
 
 def product_state(sigma, tau, dims):
@@ -210,8 +210,8 @@ class TestLockstep:
         values, bases, counts = [], [], []
         for r in range(cfg.restarts):
             start = _haar_unitary(d, np.random.default_rng([cfg.seed, r]))[None]
-            value, basis, evaluations, _ = oracle._newton_descent(r2, start, kernel,
-                                                                  cfg.step_tolerance)
+            value, basis, evaluations, _ = oracle._newton_descent(
+                start, lambda U: oracle._value_and_gradient(r2, U, kernel))
             values.append(value[0])
             bases.append(basis[0])
             counts.append(int(evaluations[0]))
@@ -311,6 +311,16 @@ class TestNewtonDescent:
             gd_gaps = [abs(d / (d - 1) * v - cf.pp_gd(p)) for v in gd.per_restart_values]
             assert max(discord_gaps) <= 1e-6 and max(gd_gaps) <= 1e-6
             assert ce.converged and gd.converged
+
+    def test_every_gd_restart_reaches_closed_form_at_alpha_zero(self):
+        # acceptance criterion 5's worst state: at alpha = 0 the landscape is the pure
+        # state's scaled by 1/225, so a loose stop rule would end restarts early
+        p = PseudoPureParams(4, 0.0, random_schmidt_vector(4, 702))
+        rho = build_pseudo_pure(p)
+        cfg = OptimizerConfig(restarts=6, seed=505)
+        gd = oracle._minimize_over_bases(rho, cfg, blocks_kernel("gd", rho))
+        gaps = [abs(4 / 3 * v - cf.pp_gd(p)) for v in gd.per_restart_values]
+        assert max(gaps) <= 1e-12
 
 
 def test_import_leaves_scipy_unloaded():

@@ -79,10 +79,6 @@ class TestWerner:
                 UU = np.kron(U, U)
                 assert np.abs(UU @ rho @ UU.conj().T - rho).max() <= 1e-10
 
-    def test_separable_flag(self):
-        assert WernerParams(3, 0.5).separable
-        assert not WernerParams(3, 0.500001).separable
-
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             WernerParams(1, 0.5)
