@@ -3,8 +3,6 @@ isotropic bipartite states: closed formulas paired with an independent
 matrix-based measurement-optimization oracle."""
 
 from .closed_forms import (
-    PseudoPureReport,
-    WernerReport,
     binary_entropy,
     pp_classical_correlations,
     pp_discord,
@@ -14,9 +12,7 @@ from .closed_forms import (
     pp_marginal_entropy,
     pp_mutual_information,
     pp_negativity,
-    pp_report,
     pp_second_derivative,
-    pp_second_derivative_bits,
     pp_separable,
     pp_separability_threshold,
     pure_gd,
@@ -28,11 +24,9 @@ from .closed_forms import (
     werner_joint_entropy,
     werner_measured_conditional_entropy,
     werner_mutual_information,
-    werner_report,
     werner_separable,
 )
 from .linalg import (
-    EigenDecomposition,
     commutator_norm,
     hermitian_eigensystem,
     partial_trace,

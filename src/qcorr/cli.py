@@ -7,7 +7,7 @@ matrix-based oracle). Output is CSV or JSON with floats at 12 significant
 digits; every stochastic path is seeded, so identical flags give
 byte-identical output.
 
-Exit codes: 0 success, 2 usage, 3 domain or capability error,
+Exit codes: 0 success, 2 usage, 3 domain, capability or output-file error,
 4 conjecture violation, 1 oracle-compare mismatch.
 """
 
@@ -157,9 +157,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _schmidt_vector(args):
-    if args.schmidt is None or not args.normalize:
-        return args.schmidt
-    return normalized_schmidt(args.schmidt)
+    return normalized_schmidt(args.schmidt) if args.normalize else args.schmidt
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
@@ -201,6 +199,8 @@ def _require_schmidt(parser: argparse.ArgumentParser, args) -> None:
         parser.error("family pp requires --schmidt")
     if args.family != "pp" and args.schmidt is not None:
         parser.error("--schmidt is only valid for family pp")
+    if args.normalize and args.schmidt is None:
+        parser.error("--normalize is only valid with --schmidt")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"qcorr: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -2,8 +2,10 @@
 
 Everything here is plain arithmetic on (d, lam) or (d, alpha, u): discord,
 classical correlations, mutual information, entanglement of formation,
-geometric discord, negativity, the large-d asymptotes and the separability
-thresholds. No density matrices are built, so arbitrarily large d is fine.
+geometric discord, negativity, the large-d asymptotes, the separability
+thresholds and the convexity certificate of the pseudo-pure discord (its
+second derivative in alpha, in bits). No density matrices are built, so
+arbitrarily large d is fine.
 All entropic quantities are in bits; endpoint parameter values evaluate
 term by term under the 0 * log 0 = 0 convention.
 """
@@ -11,11 +13,10 @@ term by term under the 0 * log 0 = 0 convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PseudoPureParams, WernerParams, validate_schmidt
+from .states import PseudoPureParams, WernerParams, _check_unit, validate_schmidt
 
 LN2 = math.log(2.0)
 _ZERO = 1e-15
@@ -55,8 +56,7 @@ def _check_werner(d, lam) -> tuple[int, float]:
 
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy H(x) = -x log2 x - (1-x) log2(1-x)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy argument must lie in [0, 1], got {x!r}")
+    _check_unit("binary entropy argument", x)
     return -_xlog2(x) - _xlog2(1.0 - x)
 
 
@@ -115,8 +115,7 @@ def werner_classical_correlations(d: int, lam: float) -> float:
 
 def werner_discord_asymptote(lam: float) -> float:
     """Large-d limit of the Werner discord: 1 - H(lam)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+    _check_unit("lam", lam)
     return 1.0 - binary_entropy(lam)
 
 
@@ -126,8 +125,7 @@ def werner_eof(lam: float) -> float:
     Zero on the separable range lam <= 1/2; above it the closed form
     reduces to H(1/2 - sqrt(lam(1-lam))).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+    _check_unit("lam", lam)
     if lam <= 0.5:
         return 0.0
     root = math.sqrt(lam * (1.0 - lam))
@@ -138,8 +136,7 @@ def werner_eof(lam: float) -> float:
 
 def werner_separable(lam: float) -> bool:
     """Separability of the Werner family: lam <= 1/2, boundary included."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+    _check_unit("lam", lam)
     return lam <= 0.5
 
 
@@ -182,18 +179,16 @@ def pp_classical_correlations(p: PseudoPureParams) -> float:
 def pp_discord_asymptote(alpha: float, u) -> float:
     """Large-d limit of the pseudo-pure discord: alpha times the reduced
     entropy of the pure part."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    _check_unit("alpha", alpha)
     probs = validate_schmidt(u) ** 2
     return alpha * (-_sum_xlog2(probs))
 
 
 def pp_second_derivative(p: PseudoPureParams) -> float:
-    """Second derivative of the discord with respect to alpha, in
-    natural-log units (the convexity certificate; strictly positive).
+    """Second derivative of the discord with respect to alpha, in bits
+    (the convexity certificate; strictly positive).
 
-    Divide by ln 2 (see pp_second_derivative_bits) to match finite
-    differences of pp_discord. Singular at alpha in {0, 1}.
+    Matches finite differences of pp_discord. Singular at alpha in {0, 1}.
     """
     d, a = p.d, p.alpha
     if not 0.0 < a < 1.0:
@@ -201,12 +196,7 @@ def pp_second_derivative(p: PseudoPureParams) -> float:
     u2 = p.schmidt**2
     numer = (d * d * u2 - 1.0) ** 2
     denom = (d * d - 1.0) * (1.0 - u2 + a * (d * d * u2 - 1.0))
-    return float(1.0 / a + 1.0 / ((1.0 - a) * (1.0 + d)) - (numer / denom).sum())
-
-
-def pp_second_derivative_bits(p: PseudoPureParams) -> float:
-    """pp_second_derivative converted to bits (divided by ln 2)."""
-    return pp_second_derivative(p) / LN2
+    return float(1.0 / a + 1.0 / ((1.0 - a) * (1.0 + d)) - (numer / denom).sum()) / LN2
 
 
 def pure_gd(u) -> float:
@@ -261,74 +251,3 @@ def pp_separability_threshold(p: PseudoPureParams) -> float:
 def pp_separable(p: PseudoPureParams) -> bool:
     """Separability: alpha <= (1 + u1 u2) / (1 + u1 u2 d^2), boundary included."""
     return p.alpha <= pp_separability_threshold(p) + SEPARABILITY_ATOL
-
-
-# ---------------------------------------------------------------------------
-# Eagerly evaluated reports
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WernerReport:
-    """All closed-form Werner quantities at one (d, lam)."""
-
-    d: int
-    lam: float
-    joint_entropy: float
-    mutual_information: float
-    conditional_entropy_measured: float
-    discord: float
-    classical_correlations: float
-    eof: float
-    discord_asymptote: float
-    separable: bool
-
-
-def werner_report(d: int, lam: float) -> WernerReport:
-    d, lam = _check_werner(d, lam)
-    return WernerReport(
-        d=d,
-        lam=lam,
-        joint_entropy=werner_joint_entropy(d, lam),
-        mutual_information=werner_mutual_information(d, lam),
-        conditional_entropy_measured=werner_measured_conditional_entropy(d, lam),
-        discord=werner_discord(d, lam),
-        classical_correlations=werner_classical_correlations(d, lam),
-        eof=werner_eof(lam),
-        discord_asymptote=werner_discord_asymptote(lam),
-        separable=werner_separable(lam),
-    )
-
-
-@dataclass(frozen=True)
-class PseudoPureReport:
-    """All closed-form pseudo-pure quantities at one (d, alpha, u)."""
-
-    d: int
-    alpha: float
-    schmidt: np.ndarray
-    joint_entropy: float
-    marginal_entropy: float
-    mutual_information: float
-    discord: float
-    classical_correlations: float
-    gd: float
-    negativity: float
-    discord_asymptote: float
-    separable: bool
-
-
-def pp_report(p: PseudoPureParams) -> PseudoPureReport:
-    return PseudoPureReport(
-        d=p.d,
-        alpha=p.alpha,
-        schmidt=p.schmidt,
-        joint_entropy=pp_joint_entropy(p),
-        marginal_entropy=pp_marginal_entropy(p),
-        mutual_information=pp_mutual_information(p),
-        discord=pp_discord(p),
-        classical_correlations=pp_classical_correlations(p),
-        gd=pp_gd(p),
-        negativity=pp_negativity(p),
-        discord_asymptote=pp_discord_asymptote(p.alpha, p.schmidt),
-        separable=pp_separable(p),
-    )

@@ -13,8 +13,6 @@ envelope is matrix side <= 4096.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Shared tolerances. Hermiticity is checked relative to the largest entry;
@@ -27,13 +25,6 @@ EVAL_NEG_TOL = 1e-10
 EVAL_ZERO_CUTOFF = 1e-15
 
 MAX_MATRIX_SIDE = 4096
-
-
-class EigenDecomposition(NamedTuple):
-    """Ascending real eigenvalues with matching orthonormal column vectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -82,15 +73,14 @@ def check_bipartite_dims(A: np.ndarray, dims) -> tuple[int, int]:
     return dA, dB
 
 
-def hermitian_eigensystem(M) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, V) of a Hermitian matrix.
 
-    Returns ascending eigenvalues and orthonormal eigenvector columns;
+    Returns ascending eigenvalues w and orthonormal eigenvector columns V;
     deterministic up to rotations inside degenerate subspaces.
     """
-    A = require_hermitian(M)
-    w, V = np.linalg.eigh(A)
-    return EigenDecomposition(w, V)
+    w, V = np.linalg.eigh(require_hermitian(M))
+    return w, V
 
 
 def partial_trace(rho, dims, side: str) -> np.ndarray:

@@ -42,9 +42,9 @@ from .linalg import (
 from .states import (
     DensityMatrix,
     PseudoPureParams,
-    _haar_unitary,
     build_pseudo_pure,
     random_schmidt_vector,
+    random_unitary,
 )
 
 MAX_MEASURED_DIM = 8
@@ -271,8 +271,7 @@ def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_bloc
             f"measured dimension {dB} exceeds the optimization envelope {MAX_MEASURED_DIM}"
         )
     r2 = _paired_b_indices(rho)
-    bases = np.array([_haar_unitary(dB, np.random.default_rng([cfg.seed, r]))
-                      for r in range(cfg.restarts)])
+    bases = np.array([random_unitary(dB, [cfg.seed, r]) for r in range(cfg.restarts)])
     values, bases, evaluations, converged = _newton_descent(
         bases, lambda U: _value_and_gradient(r2, U, value_of_blocks))
     best = int(np.argmin(values))
@@ -321,7 +320,7 @@ def negativity_numeric(rho: DensityMatrix) -> float:
     dA, dB = rho.dims
     if dA != dB:
         raise ValueError("negativity is defined here for equal local dimensions")
-    w = hermitian_eigensystem(partial_transpose(rho.matrix, rho.dims, "B")).eigenvalues
+    w, _ = hermitian_eigensystem(partial_transpose(rho.matrix, rho.dims, "B"))
     total = w[w < -1e-12].sum()
     return float(2.0 * abs(total) / (dA - 1.0))
 

@@ -34,6 +34,12 @@ def _check_dimension(d) -> int:
     return int(d)
 
 
+def _check_unit(name: str, value: float) -> None:
+    """Raise unless `value` lies in [0, 1]; `name` leads the error message."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def _amplitudes(values, d: int | None = None) -> np.ndarray:
     """Raw amplitudes as a flat float vector: at least two, finite and nonnegative."""
     u = np.asarray(values, dtype=float).ravel()
@@ -83,8 +89,7 @@ class WernerParams:
 
     def __post_init__(self):
         _check_dimension(self.d)
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam!r}")
+        _check_unit("lam", self.lam)
 
 
 @dataclass(frozen=True)
@@ -101,8 +106,7 @@ class PseudoPureParams:
 
     def __post_init__(self):
         _check_dimension(self.d)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        _check_unit("alpha", self.alpha)
         object.__setattr__(self, "schmidt", validate_schmidt(self.schmidt, self.d))
 
     @property
@@ -188,19 +192,19 @@ def isotropic_params(d: int, alpha: float) -> PseudoPureParams:
     return PseudoPureParams(d, alpha, np.full(d, 1.0 / np.sqrt(d)))
 
 
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix with the
-    R-diagonal phases folded into the columns."""
+def random_unitary(d: int, seed) -> np.ndarray:
+    """Seeded Haar-random d x d unitary; identical output for equal seeds.
+
+    `seed` is anything np.random.default_rng accepts. The unitary is the Q
+    of a QR of a complex Ginibre matrix, with the R-diagonal phases folded
+    into its columns.
+    """
+    d = _check_dimension(d)
+    rng = np.random.default_rng(seed)
     Z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     Q, R = np.linalg.qr(Z)
     diag = np.diag(R)
     return Q * (diag / np.abs(diag))
-
-
-def random_unitary(d: int, seed: int) -> np.ndarray:
-    """Seeded Haar-random d x d unitary; identical output for equal seeds."""
-    d = _check_dimension(d)
-    return _haar_unitary(d, np.random.default_rng(seed))
 
 
 def random_schmidt_vector(d: int, seed: int) -> np.ndarray:

@@ -192,7 +192,7 @@ def test_criterion_9_second_derivative():
                     - 2 * cf.pp_discord(p)
                     + cf.pp_discord(PseudoPureParams(d, alpha - h, u))
                 ) / h**2
-                worst_rel = max(worst_rel, abs(cf.pp_second_derivative_bits(p) - fd) / abs(fd))
+                worst_rel = max(worst_rel, abs(value - fd) / abs(fd))
     ok = min_value > 0.0 and worst_rel <= 1e-4
     report(
         9,

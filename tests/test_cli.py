@@ -393,6 +393,26 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert f"more than {cli.MAX_GRID_POINTS} points" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--lambda", "0.5", "--measures", "discord"],
+        ["sweep", "--start", "0", "--stop", "1", "--step", "0.5", "--measures", "discord"],
+        ["oracle-compare", "--start", "0", "--stop", "1", "--step", "0.5", "--measure", "mi"],
+    ], ids=["compute", "sweep", "oracle-compare"])
+    def test_normalize_without_schmidt_is_usage_error(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--family", "werner", "--d", "3", "--normalize"], capsys)
+        assert (code, out) == (2, "")
+        assert "--normalize is only valid with --schmidt" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "werner", "--d", "2", "--lambda", "0.5", "--measures", "discord"],
+        ["conjecture", "--samples", "1", "--dmax", "3"],
+    ], ids=["compute", "conjecture"])
+    def test_unwritable_out_is_domain_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("qcorr: ") and str(path) in err
+
     def test_sweep_has_no_seed_option(self, capsys):
         code, _, _ = run_cli(
             ["sweep", "--family", "werner", "--d", "2", "--start", "0", "--stop", "1",
@@ -468,6 +488,18 @@ class TestMeasureTable:
         assert f"Werner supports `{names('werner')}`" in readme
         assert f"pseudo-pure and isotropic support `{names('pp')}`" in readme
         assert f"`--numeric` adds oracle rows for `{names('oracle')}`" in readme
+
+    def test_readme_quick_start_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Library quick start", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        werner, pp, numeric = capsys.readouterr().out.splitlines()
+        w, p = namespace["w"], namespace["p"]
+        assert werner == str({m: e.werner(w) for m, e in cli.MEASURES.items() if e.werner})
+        assert pp == str({m: e.pp(p) for m, e in cli.MEASURES.items() if e.pp})
+        assert float(numeric) == pytest.approx(cf.pp_discord(p), abs=1e-6)
 
     def test_oracle_compare_tolerances(self):
         tolerances = {m: e.tolerance for m, e in cli.MEASURES.items() if e.oracle}

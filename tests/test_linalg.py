@@ -180,7 +180,7 @@ class TestPurity:
 
     def test_matches_spectrum(self, rng):
         rho = random_density(7, rng)
-        w = hermitian_eigensystem(rho).eigenvalues
+        w, _ = hermitian_eigensystem(rho)
         assert abs(purity(rho) - (w**2).sum()) <= 1e-10
 
 

@@ -30,7 +30,6 @@ from qcorr.states import (
     DensityMatrix,
     PseudoPureParams,
     WernerParams,
-    _haar_unitary,
     build_isotropic,
     build_pseudo_pure,
     build_werner,
@@ -209,7 +208,7 @@ class TestLockstep:
         r2 = oracle._paired_b_indices(rho)
         values, bases, counts = [], [], []
         for r in range(cfg.restarts):
-            start = _haar_unitary(d, np.random.default_rng([cfg.seed, r]))[None]
+            start = random_unitary(d, [cfg.seed, r])[None]
             value, basis, evaluations, _ = oracle._newton_descent(
                 start, lambda U: oracle._value_and_gradient(r2, U, kernel))
             values.append(value[0])

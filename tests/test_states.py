@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcorr.linalg import partial_transpose
@@ -199,17 +197,18 @@ class TestHelpers:
 
 
 class TestNonFiniteSchmidt:
-    @given(
-        st.lists(st.floats(0.0, 1e3), min_size=2, max_size=6),
-        st.integers(0, 5),
-        st.sampled_from([math.nan, math.inf, -math.inf]),
-    )
-    def test_rejected_by_both_validators(self, values, index, bad):
-        values[index % len(values)] = bad
-        with pytest.raises(ValueError, match="finite"):
-            validate_schmidt(values)
-        with pytest.raises(ValueError, match="finite"):
-            normalized_schmidt(values)
+    def test_rejected_by_both_validators(self):
+        # every length 2-6, every position, every non-finite value
+        finite = [1e3, 0.0, 5e-324, 0.6, 0.8, 1.0]
+        for n in range(2, 7):
+            for index in range(n):
+                for bad in (math.nan, math.inf, -math.inf):
+                    values = finite[:n]
+                    values[index] = bad
+                    with pytest.raises(ValueError, match="finite"):
+                        validate_schmidt(values)
+                    with pytest.raises(ValueError, match="finite"):
+                        normalized_schmidt(values)
 
     @pytest.mark.parametrize("u", [[math.nan, 0.5], [math.inf, 0.0], [0.8, math.nan]])
     def test_params_reject_non_finite_schmidt(self, u):
