@@ -14,9 +14,11 @@ Exit codes: 0 success, 2 usage, 3 domain, capability or output-file error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import operator
+import os
 import sys
 from functools import cached_property, reduce
 from typing import Callable, NamedTuple
@@ -203,6 +205,26 @@ def _require_schmidt(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--normalize is only valid with --schmidt")
 
 
+def _check_out(path: str | None) -> None:
+    """Raise the OSError that opening path for writing would raise, before
+    any work starts. Creates and truncates nothing, so a run that fails
+    later leaves no file behind."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -230,6 +252,7 @@ def _records_csv(records: list[tuple]) -> str:
 
 def cmd_compute(parser, args) -> int:
     _require_schmidt(parser, args)
+    _check_out(args.out)
     family, value = args.family, _param_value(args)
     _check_measures(family, args.measures)
     params = _params(family, args.d, value, _schmidt_vector(args))
@@ -250,6 +273,7 @@ def cmd_compute(parser, args) -> int:
 
 def cmd_sweep(parser, args) -> int:
     _require_schmidt(parser, args)
+    _check_out(args.out)
     family = args.family
     _check_measures(family, args.measures)
     u = _schmidt_vector(args)
@@ -280,6 +304,7 @@ _FIGURES = {
 
 
 def cmd_figure(parser, args) -> int:
+    _check_out(args.out)
     family, label, measures, extra = _FIGURES[args.name]
     dims = args.dims or ([2, 50] if args.name == "fig3" else [2, 3, 10, 50])
     fns = [_closed_fn(family, m) for m in measures]
@@ -296,6 +321,7 @@ def cmd_figure(parser, args) -> int:
 
 
 def cmd_conjecture(parser, args) -> int:
+    _check_out(args.out)
     report = oracle.conjecture_sweep(args.samples, (args.dmin, args.dmax), args.seed)
     payload = {
         "samples": report.samples,
@@ -316,6 +342,7 @@ def cmd_conjecture(parser, args) -> int:
 
 def cmd_oracle_compare(parser, args) -> int:
     _require_schmidt(parser, args)
+    _check_out(args.out)
     family, measure = args.family, args.measure
     closed_fn = _closed_fn(family, measure)
     if closed_fn is None:

@@ -5,7 +5,8 @@ classical correlations, mutual information, entanglement of formation,
 geometric discord, negativity, the large-d asymptotes, the separability
 thresholds and the convexity certificate of the pseudo-pure discord (its
 second derivative in alpha, in bits). No density matrices are built, so
-arbitrarily large d is fine.
+large d costs O(d) memory and O(d) time; the one exception is the time of
+pp_negativity, O(d log d) plus O(1) per negative partial-transpose block.
 All entropic quantities are in bits; endpoint parameter values evaluate
 term by term under the 0 * log 0 = 0 convention.
 """
@@ -25,6 +26,9 @@ _ZERO = 1e-15
 # this tie window; boundary pairs contribute exactly zero anyway.
 NEGATIVITY_TIE_ATOL = 1e-14
 SEPARABILITY_ATOL = 1e-12
+# Most negativity terms held at once. Any value >= 128, the block below
+# which numpy's pairwise summation stops splitting, gives the same bits.
+_SUM_LEAF = 1 << 16
 
 
 def _xlog2(x: float) -> float:
@@ -225,20 +229,54 @@ def pp_gd(p: PseudoPureParams) -> float:
     return scale * scale * pure_gd(p.schmidt)
 
 
+def _tree_sum(leaf, start: int, n: int):
+    """Sum of the terms [start, start + n) that leaf(start, stop) returns as an
+    array, added in the order of numpy's pairwise summation.
+
+    np.sum splits a contiguous float64 array into halves rounded down to a
+    multiple of 8 until a part is short enough to sum directly, so splitting
+    the same way down to leaves of _SUM_LEAF terms and summing each leaf
+    with ndarray.sum gives np.sum's bits without holding all the terms.
+    """
+    if n <= _SUM_LEAF:
+        return leaf(start, start + n).sum()
+    half = n // 2 - n // 2 % 8
+    return _tree_sum(leaf, start, half) + _tree_sum(leaf, start + half, n - half)
+
+
 def pp_negativity(p: PseudoPureParams) -> float:
     """Negativity of the pseudo-pure state from its partial-transpose blocks.
 
-    Sums the pair blocks beta - (alpha - beta) u_i u_j that are strictly
-    negative (within a 1e-14 tie window) and normalizes by 1/(d-1).
+    Sums the pair blocks beta - (alpha - beta) u_i u_j (i < j) that are
+    strictly negative (within a 1e-14 tie window), in row-major pair order,
+    and normalizes by 1/(d-1). Memory is O(d); time is O(d log d) plus
+    O(1) per negative block.
     """
     d, a = p.d, p.alpha
-    u = p.schmidt
-    iu, ju = np.triu_indices(d, 1)
-    prods = u[iu] * u[ju]
-    negative = (p.beta - (a - p.beta) * prods) < -NEGATIVITY_TIE_ATOL
-    if not negative.any():
+    u, beta = p.schmidt, p.beta
+    # u descends and rounding is monotone, so the negative blocks of row i
+    # are its prefix i < j < end[i]; bisect for end[i] on the same test.
+    first_col = np.arange(1, d + 1)
+    end, hi = first_col, np.full(d, d)
+    while (live := end < hi).any():
+        mid = (end + hi) // 2
+        negative = (beta - (a - beta) * (u * u[np.minimum(mid, d - 1)])) < -NEGATIVITY_TIE_ATOL
+        end = np.where(live & negative, mid + 1, end)
+        hi = np.where(live & ~negative, mid, hi)
+    counts = end - first_col
+    stops = np.cumsum(counts)
+    if not stops[-1]:
         return 0.0
-    total = float((prods[negative] * (a * d * d - 1.0) - (1.0 - a)).sum())
+    starts = stops - counts
+    shift = first_col - starts  # flat term k of row i is the pair (i, k + shift[i])
+
+    def terms(first: int, last: int) -> np.ndarray:
+        rows = range(np.searchsorted(stops, first, "right"), np.searchsorted(starts, last))
+        prods = [u[i] * u[max(first, starts[i]) + shift[i]:min(last, stops[i]) + shift[i]]
+                 for i in rows]
+        return np.concatenate(prods) * (a * d * d - 1.0) - (1.0 - a)
+
+    total = float(_tree_sum(terms, 0, int(stops[-1])))
     return 2.0 * total / ((d - 1.0) ** 2 * (d + 1.0))
 
 

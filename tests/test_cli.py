@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -403,15 +404,50 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "--normalize is only valid with --schmidt" in err
 
+    @pytest.fixture
+    def work_calls(self, monkeypatch):
+        """Records every point built and every conjecture sweep started."""
+        calls = []
+        monkeypatch.setattr(cli, "_params", lambda *a: calls.append(a))
+        monkeypatch.setattr(oracle, "conjecture_sweep", lambda *a: calls.append(a))
+        return calls
+
     @pytest.mark.parametrize("argv", [
         ["compute", "--family", "werner", "--d", "2", "--lambda", "0.5", "--measures", "discord"],
-        ["conjecture", "--samples", "1", "--dmax", "3"],
-    ], ids=["compute", "conjecture"])
-    def test_unwritable_out_is_domain_error(self, argv, tmp_path, capsys):
+        ["conjecture", "--samples", "400"],
+        ["sweep", "--family", "werner", "--d", "2", "--start", "0", "--stop", "1",
+         "--step", "0.5", "--measures", "discord"],
+        ["figure", "fig1"],
+        ["oracle-compare", "--family", "werner", "--d", "2", "--start", "0", "--stop", "1",
+         "--step", "0.5", "--measure", "mi"],
+    ], ids=["compute", "conjecture", "sweep", "figure", "oracle-compare"])
+    def test_unwritable_out_is_domain_error(self, argv, tmp_path, capsys, work_calls):
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(argv + ["--out", str(path)], capsys)
-        assert (code, out) == (3, "")
+        assert (code, out, work_calls) == (3, "", [])
         assert err.startswith("qcorr: ") and str(path) in err
+
+    @pytest.mark.parametrize("target", ["directory", "read-only", "empty"])
+    def test_out_that_cannot_be_opened_is_domain_error(self, target, tmp_path, capsys,
+                                                       monkeypatch, work_calls):
+        path = "" if target == "empty" else tmp_path
+        if target == "read-only":
+            path = tmp_path / "x.csv"
+            # permission bits do not bind root, so deny the access check itself
+            monkeypatch.setattr(os, "access", lambda p, mode: mode != os.W_OK)
+        code, out, err = run_cli(["figure", "fig1", "--out", str(path)], capsys)
+        assert (code, out, work_calls) == (3, "", [])
+        assert err.startswith("qcorr: ") and str(path) in err
+
+    def test_out_check_leaves_no_file_and_keeps_an_existing_one(self, tmp_path, capsys):
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("keep\n")
+        for path in (fresh, kept):
+            code, _, err = run_cli(
+                ["compute", "--family", "werner", "--d", "2", "--lambda", "1.5",
+                 "--measures", "discord", "--out", str(path)], capsys)
+            assert code == 3 and "lam" in err
+        assert not fresh.exists() and kept.read_text() == "keep\n"
 
     def test_sweep_has_no_seed_option(self, capsys):
         code, _, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,49 @@ class TestPseudoPureNegativity:
             threshold = cf.pp_separability_threshold(PseudoPureParams(d, 0.5, u))
             assert cf.pp_negativity(PseudoPureParams(d, threshold, u)) <= 1e-12
             assert cf.pp_negativity(PseudoPureParams(d, min(threshold + 1e-4, 1.0), u)) > 0.0
+
+    @staticmethod
+    def _pair_enumeration(p):
+        """Reference: every pair block at once, summed by np.sum."""
+        d, a = p.d, p.alpha
+        u = p.schmidt
+        iu, ju = np.triu_indices(d, 1)
+        prods = u[iu] * u[ju]
+        negative = (p.beta - (a - p.beta) * prods) < -cf.NEGATIVITY_TIE_ATOL
+        if not negative.any():
+            return 0.0
+        total = float((prods[negative] * (a * d * d - 1.0) - (1.0 - a)).sum())
+        return 2.0 * total / ((d - 1.0) ** 2 * (d + 1.0))
+
+    @staticmethod
+    def _bit_identity_grid():
+        rng = np.random.default_rng(8)
+        # d = 400 at alpha = 1 has 79800 negative blocks, more than one leaf
+        for d in [*range(2, 41), 400]:
+            tied = np.sort(np.repeat(rng.uniform(0.1, 1.0, (d + 1) // 2), 2)[:d])[::-1]
+            for u in (isotropic_params(d, 0.5).schmidt, random_schmidt_vector(d, d),
+                      tied / np.linalg.norm(tied)):
+                threshold = cf.pp_separability_threshold(PseudoPureParams(d, 0.5, u))
+                alphas = [0.0, 1.0 / d**2, threshold, min(threshold + 1e-4, 1.0), 1.0]
+                for alpha in alphas + [float(x) for x in rng.random(3)]:
+                    yield PseudoPureParams(d, alpha, u)
+
+    @pytest.mark.parametrize("leaf", [None, 128], ids=["default-leaf", "leaf-128"])
+    def test_bits_equal_pair_enumeration(self, leaf, monkeypatch):
+        if leaf is not None:
+            monkeypatch.setattr(cf, "_SUM_LEAF", leaf)
+        for p in self._bit_identity_grid():
+            assert cf.pp_negativity(p) == self._pair_enumeration(p), (p.d, p.alpha)
+
+    def test_memory_bounded_at_large_d(self):
+        p = PseudoPureParams(8000, 0.5, random_schmidt_vector(8000, 3))
+        tracemalloc.start()
+        try:
+            assert cf.pp_negativity(p) > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestPseudoPureSeparable:
