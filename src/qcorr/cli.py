@@ -21,7 +21,9 @@ import operator
 import os
 import sys
 from functools import cached_property, reduce
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from . import closed_forms as cf
 from . import oracle
@@ -42,6 +44,10 @@ EXIT_VIOLATION = 4
 
 # Largest parameter grid sweep and oracle-compare accept, checked before building it.
 MAX_GRID_POINTS = 10**6
+# sweep and figure call each closed form on max(1, _CHUNK_FLOATS // d) grid
+# values at a time: an array call holds O(values * d), so memory stays
+# O(d + chunk) at any d.
+_CHUNK_FLOATS = 1 << 16
 
 CSV_HEADER = "family,d,param_name,param_value,measure,value,method"
 
@@ -66,8 +72,10 @@ class Measure(NamedTuple):
     """The routes to one measure; a route the measure lacks is None.
 
     `werner` takes a WernerParams, `pp` a PseudoPureParams (isotropic states
-    included) and `oracle` an OraclePoint. Each route looks its library
-    function up when called, so wrapped or patched functions are the ones run.
+    included) and `oracle` an OraclePoint. A closed-form route given a record
+    that holds an array of parameter values returns an array of results.
+    Each route looks its library function up when called, so wrapped or
+    patched functions are the ones run.
     """
 
     werner: Callable[[WernerParams], float] | None
@@ -112,8 +120,9 @@ def _closed_fn(family: str, measure: str):
     return entry.werner if family == "werner" else entry.pp
 
 
-def _params(family: str, d: int, value: float, u):
-    """The validated parameter record of one (d, value) point."""
+def _params(family: str, d: int, value, u):
+    """The validated parameter record at dimension d of one value, or of a
+    1-D array of them."""
     if family == "werner":
         return WernerParams(d, value)
     if family == "isotropic":
@@ -238,7 +247,19 @@ def _record(family: str, d: int, value: float, measure: str, result: float, meth
     return (family, d, _param_name(family), value, measure, result, method)
 
 
-def _records_csv(records: list[tuple]) -> str:
+def _closed_columns(family: str, d: int, grid: list[float], u, fns) -> list[list[float]]:
+    """Each closed form in `fns` at dimension d over the whole grid, one list
+    of floats per form. One parameter record is built per chunk of the grid."""
+    size = max(1, _CHUNK_FLOATS // d)
+    columns = [[] for _ in fns]
+    for lo in range(0, len(grid), size):
+        params = _params(family, d, np.array(grid[lo:lo + size]), u)
+        for column, fn in zip(columns, fns):
+            column += fn(params).tolist()
+    return columns
+
+
+def _records_csv(records: Iterable[tuple]) -> str:
     lines = [CSV_HEADER] + [
         ",".join([family, str(d), name, _fmt(value), measure, _fmt(result), method])
         for family, d, name, value, measure, result, method in records
@@ -278,13 +299,16 @@ def cmd_sweep(parser, args) -> int:
     _check_measures(family, args.measures)
     u = _schmidt_vector(args)
     grid = _grid(args.start, args.stop, args.step)
-    fns = [(m, _closed_fn(family, m)) for m in args.measures]
-    records = []
-    for d in args.d:
-        for value in grid:
-            params = _params(family, d, value, u)
-            records += [_record(family, d, value, m, fn(params), "closed") for m, fn in fns]
-    _write(_records_csv(records), args.out)
+    fns = [_closed_fn(family, m) for m in args.measures]
+
+    def records():  # formatted as they come, so no list of all the records is held
+        for d in args.d:
+            columns = _closed_columns(family, d, grid, u, fns)
+            for i, value in enumerate(grid):
+                for m, column in zip(args.measures, columns):
+                    yield _record(family, d, value, m, column[i], "closed")
+
+    _write(_records_csv(records()), args.out)
     return EXIT_OK
 
 
@@ -308,14 +332,17 @@ def cmd_figure(parser, args) -> int:
     family, label, measures, extra = _FIGURES[args.name]
     dims = args.dims or ([2, 50] if args.name == "fig3" else [2, 3, 10, 50])
     fns = [_closed_fn(family, m) for m in measures]
+
+    def column(p):
+        return reduce(operator.sub, (fn(p) for fn in fns))
+
+    grid = [i / 100.0 for i in range(101)]
     header = [_param_name(family)] + [f"{label}_d{d}" for d in dims]
     lines = [",".join(header + ([extra[0]] if extra else []))]
-    for x in (i / 100.0 for i in range(101)):
-        params = [_params(family, d, x, None) for d in dims]
-        row = [x] + [reduce(operator.sub, (fn(p) for fn in fns)) for p in params]
-        if extra is not None:
-            row.append(extra[1](x))
-        lines.append(",".join(map(_fmt, row)))
+    columns = [grid] + [_closed_columns(family, d, grid, None, [column])[0] for d in dims]
+    if extra is not None:
+        columns.append(extra[1](np.array(grid)).tolist())
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

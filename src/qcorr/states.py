@@ -34,10 +34,23 @@ def _check_dimension(d) -> int:
     return int(d)
 
 
-def _check_unit(name: str, value: float) -> None:
-    """Raise unless `value` lies in [0, 1]; `name` leads the error message."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+def _check_unit(name: str, value) -> None:
+    """Raise unless `value`, a float or an array, lies in [0, 1] throughout;
+    `name` leads the error message, which quotes the first value outside."""
+    values = np.ravel(value)
+    outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if outside.size:
+        raise ValueError(f"{name} must lie in [0, 1], got {float(values[outside[0]])!r}")
+
+
+def _weight(name: str, value):
+    """A validated mixing weight: a scalar as given, or a 1-D float array."""
+    if np.ndim(value):
+        value = np.asarray(value, dtype=float)
+        if value.ndim != 1:
+            raise ValueError(f"{name} must be a float or a 1-D array")
+    _check_unit(name, value)
+    return value
 
 
 def _amplitudes(values, d: int | None = None) -> np.ndarray:
@@ -82,36 +95,38 @@ def normalized_schmidt(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WernerParams:
-    """Dimension d >= 2 and antisymmetric weight lam in [0, 1]."""
+    """Dimension d >= 2 and antisymmetric weight lam in [0, 1]: a float, or a
+    1-D array holding one weight per state."""
 
     d: int
-    lam: float
+    lam: float | np.ndarray
 
     def __post_init__(self):
         _check_dimension(self.d)
-        _check_unit("lam", self.lam)
+        object.__setattr__(self, "lam", _weight("lam", self.lam))
 
 
 @dataclass(frozen=True)
 class PseudoPureParams:
     """Dimension d, pure-state weight alpha in [0, 1] and Schmidt vector.
 
-    alpha may go below 1/d^2 (noise weight beta exceeding alpha); the
-    formulas cover the full range.
+    alpha is a float, or a 1-D array holding one weight per state (all with
+    the same d and Schmidt vector). It may go below 1/d^2 (noise weight beta
+    exceeding alpha); the formulas cover the full range.
     """
 
     d: int
-    alpha: float
+    alpha: float | np.ndarray
     schmidt: np.ndarray
 
     def __post_init__(self):
         _check_dimension(self.d)
-        _check_unit("alpha", self.alpha)
+        object.__setattr__(self, "alpha", _weight("alpha", self.alpha))
         object.__setattr__(self, "schmidt", validate_schmidt(self.schmidt, self.d))
 
     @property
-    def beta(self) -> float:
-        """Weight of each of the d^2 - 1 noise eigenvectors."""
+    def beta(self) -> float | np.ndarray:
+        """Weight of each of the d^2 - 1 noise eigenvectors, one per alpha."""
         return (1.0 - self.alpha) / (self.d**2 - 1)
 
 

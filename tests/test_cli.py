@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from qcorr import cli
 from qcorr import closed_forms as cf
 from qcorr import oracle
-from qcorr.states import PseudoPureParams
+from qcorr.states import PseudoPureParams, random_schmidt_vector
 
 
 def run_cli(args, capsys):
@@ -182,6 +183,25 @@ class TestSweep:
             capsys,
         )
         assert code == 2
+
+    def test_memory_bounded_at_large_d(self, capsys):
+        # 81 alphas at d = 8000, 69 of them past the separability threshold
+        # (1.5e-5). The grid goes in chunks of 8 alphas and peaks at about
+        # 5.4 MiB; all 81 at once peaked at 27.9 MiB.
+        u = random_schmidt_vector(8000, 3)
+        schmidt = ",".join(map(repr, u.tolist()))
+        argv = ["sweep", "--family", "pp", "--d", "8000", "--schmidt", schmidt,
+                "--start", "0", "--stop", "1e-4", "--step", "1.25e-6",
+                "--measures", "discord,negativity"]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, _ = capsys.readouterr()
+        assert (code, out.count("\n")) == (0, 1 + 2 * 81)
+        assert peak < 8 * 2**20
 
 
 class TestFigure:
@@ -358,6 +378,16 @@ class TestExitCodes:
             capsys,
         )
         assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("family, name", [("werner", "lam"), ("isotropic", "alpha")])
+    def test_sweep_grid_outside_the_unit_interval_is_domain_error(self, family, name, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--family", family, "--d", "2", "--start", "0.5", "--stop", "1.5",
+             "--step", "0.25", "--measures", "discord"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"qcorr: {name} must lie in [0, 1], got 1.25\n"
 
     @pytest.mark.parametrize("schmidt", ["nan,0.5", "0.8,nan", "inf,0"])
     @pytest.mark.parametrize("normalize", [False, True])

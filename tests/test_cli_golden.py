@@ -90,6 +90,14 @@ def test_stdout_digest(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("chunk_floats", [5, 64])
+@pytest.mark.parametrize("name", [n for n in GOLDEN if n.startswith(("sweep", "figure"))])
+def test_digest_with_the_grid_in_chunks(name, chunk_floats, capsys, monkeypatch):
+    # each dimension's grid is evaluated in chunks of chunk_floats // d values (at least one)
+    monkeypatch.setattr(cli, "_CHUNK_FLOATS", chunk_floats)
+    test_stdout_digest(name, capsys)
+
+
 def test_oracle_compare_summary_line(capsys):
     argv, _ = GOLDEN["oracle-compare-isotropic-negativity"]
     assert cli.main(argv) == 0

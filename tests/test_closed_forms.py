@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qcorr import cli
 from qcorr import closed_forms as cf
 from qcorr.linalg import von_neumann_entropy
 from qcorr.states import (
@@ -454,3 +455,94 @@ class TestAdditivityAndStructure:
             for alpha in ALPHA_GRID:
                 p = isotropic_params(d, alpha)
                 assert cf.pp_discord(p) >= cf.pp_classical_correlations(p) - 1e-10
+
+
+def _bits(values) -> list[int]:
+    """The float64 bit patterns, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestArrayCalls:
+    """An array of mixing parameters gives, entry by entry, the bits of the
+    scalar calls; a scalar still gives a float."""
+
+    DIMS = [*range(2, 13), 50]
+
+    @staticmethod
+    def _assert_matches_scalar(fn, make, values):
+        got = fn(make(np.array(values)))
+        expected = [fn(make(x)) for x in values]
+        assert all(type(x) is float for x in expected)
+        assert isinstance(got, np.ndarray) and got.shape == (len(values),)
+        assert _bits(got) == _bits(expected)
+
+    @staticmethod
+    def _schmidt_vectors(d, rng):
+        tied = np.sort(np.repeat(rng.uniform(0.1, 1.0, (d + 1) // 2), 2)[:d])[::-1]
+        return {"isotropic": isotropic_params(d, 0.5).schmidt,
+                "random": random_schmidt_vector(d, d),
+                "tied": tied / np.linalg.norm(tied),
+                "product": np.eye(d)[0]}
+
+    @staticmethod
+    def _alphas(d, u, rng):
+        threshold = cf.pp_separability_threshold(PseudoPureParams(d, 0.5, u))
+        edges = [0.0, 1.0 / d**2, threshold - 1e-12, threshold, threshold + 1e-12, 1.0]
+        return [min(x, 1.0) for x in edges] + [float(x) for x in rng.random(6)]
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_werner_measures(self, d, rng):
+        lams = [0.0, 0.5, 1.0, 1e-15, (d - 1) / (2 * d)] + [float(x) for x in rng.random(8)]
+        for measure in cli.MEASURES.values():
+            if measure.werner is not None:
+                self._assert_matches_scalar(measure.werner, lambda x: WernerParams(d, x), lams)
+
+    def test_functions_of_the_parameter_alone(self, rng):
+        grid = UNIT_POINTS + [float(x) for x in rng.random(20)]
+        for fn in (cf.binary_entropy, cf.werner_eof, cf.werner_discord_asymptote):
+            self._assert_matches_scalar(fn, lambda x: x, grid)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_pseudo_pure_measures(self, d, rng):
+        for u in self._schmidt_vectors(d, rng).values():
+            alphas = self._alphas(d, u, rng)
+            for measure in cli.MEASURES.values():
+                if measure.pp is not None:
+                    self._assert_matches_scalar(
+                        measure.pp, lambda x: PseudoPureParams(d, x, u), alphas)
+
+    @pytest.mark.parametrize("leaf", [None, 128], ids=["default-leaf", "leaf-128"])
+    def test_negativity_past_one_leaf(self, leaf, rng, monkeypatch):
+        # at d = 400 an alpha near 1 has up to 79800 negative blocks, more
+        # than one leaf; equal-count alphas share leaves of fewer terms each
+        if leaf is not None:
+            monkeypatch.setattr(cf, "_SUM_LEAF", leaf)
+        d = 400
+        for u in self._schmidt_vectors(d, rng).values():
+            alphas = self._alphas(d, u, rng) + [1.0, 0.99, 0.999]
+            if leaf is None:
+                alphas += [float(x) for x in rng.uniform(0.9, 1.0, 12)]
+            self._assert_matches_scalar(cf.pp_negativity, lambda x: PseudoPureParams(d, x, u),
+                                        alphas)
+
+    def test_other_closed_forms(self, rng):
+        u = random_schmidt_vector(5, 5)
+        lams, alphas = list(LAM_GRID), [float(x) for x in rng.uniform(0.01, 0.99, 9)]
+        for fn in (cf.werner_joint_entropy, cf.werner_measured_conditional_entropy):
+            self._assert_matches_scalar(lambda p: fn(p.d, p.lam),
+                                        lambda x: WernerParams(5, x), lams)
+        for fn in (cf.pp_joint_entropy, cf.pp_marginal_entropy, cf.pp_second_derivative):
+            self._assert_matches_scalar(fn, lambda x: PseudoPureParams(5, x, u), alphas)
+
+    @pytest.mark.parametrize("bad", [1.25, -0.5, float("nan")])
+    def test_first_value_outside_the_range_is_named(self, bad):
+        with pytest.raises(ValueError, match=rf"lam must lie in \[0, 1\], got {bad!r}$"):
+            WernerParams(2, np.array([0.5, bad, 2.0]))
+        with pytest.raises(ValueError, match=rf"alpha must lie in \[0, 1\], got {bad!r}$"):
+            isotropic_params(3, np.array([0.0, 1.0, bad]))
+        with pytest.raises(ValueError, match=rf"got {bad!r}$"):
+            cf.binary_entropy(np.array([bad]))
+
+    def test_weights_of_more_than_one_axis_are_rejected(self):
+        with pytest.raises(ValueError, match="1-D array"):
+            WernerParams(2, np.zeros((2, 2)))
