@@ -14,12 +14,16 @@ restart starts from a Haar-random basis with a deterministic per-restart
 seed and runs a saddle-free Newton descent on U(d) (Edelman, Arias & Smith,
 SIAM J. Matrix Anal. Appl. 20, 1998): the objectives' analytic gradients
 along the d(d-1) off-diagonal skew-Hermitian generators (column phases do
-not change a measurement), a Hessian from forward differences of those
-gradients, a step along the Hessian's eigenvectors scaled by the inverse
+not change a measurement), their analytic Hessian from one evaluation of
+the blocks, a step along the Hessian's eigenvectors scaled by the inverse
 absolute eigenvalues, and an exponential retraction, until the gradient or
-the accepted step is within _STEP_TOLERANCE. All restarts advance together,
-so every basis evaluation is one batched call over a stack of bases, and a
-restart's result does not depend on the others.
+the accepted step is within _STEP_TOLERANCE. The Hessian adds the second
+derivative of the basis and the cross terms of the blocks to each kernel's
+second derivative in its blocks; for the conditional entropy that is the
+Daleckii-Krein form, the divided differences of log2 on each block's
+eigensystem. All restarts advance together, so every basis evaluation is one
+batched call over a stack of bases, and a restart's result does not depend on
+the others.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ CONJECTURE_GAP_TOL = 1e-10
 
 _MAX_ITERATIONS = 100  # Newton steps per restart
 _STEP_TOLERANCE = 1e-10  # stop below this gradient or accepted-step size
-_HESSIAN_STEP = 1e-6
 _CURVATURE_FLOOR = 1e-8  # relative to the largest |eigenvalue| of the Hessian
 
 
@@ -82,7 +85,7 @@ class OptimizerResult:
     argmin_basis: np.ndarray
     per_restart_values: tuple[float, ...]
     converged: bool  # the best restart stopped in fewer than _MAX_ITERATIONS steps
-    evaluations: tuple[int, ...]  # basis evaluations per restart
+    evaluations: tuple[int, ...]  # per restart: the start, one Hessian per step, the trials
 
 
 @dataclass(frozen=True)
@@ -134,25 +137,40 @@ def _blocks(rho: DensityMatrix, basis) -> np.ndarray:
     return _measurement_blocks(_paired_b_indices(rho), _check_basis(basis, rho.dims[1])[None])[0]
 
 
-def _ce_of_blocks(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ce_of_blocks(tau: np.ndarray):
     """Average conditional entropy sum_k p_k S(tau_k / p_k) in bits, per basis.
 
     Also returns the derivative weights G_k = -log2(tau_k / p_k), with
-    d(value) = sum_k tr(G_k dtau_k); dropped outcomes get G_k = 0.
+    d(value) = sum_k tr(G_k dtau_k), and the second-order data (V, L, c) of
+    each block: d^2(value) = sum_k sum_ij L_k,ij (V_k^dagger H_k V_k)_ij
+    conj(V_k^dagger H'_k V_k)_ij + c_k tr H_k tr H'_k for block derivatives H, H'.
+    Dropped outcomes get G_k = 0, L_k = 0 and c_k = 0.
     """
     p = np.einsum("rkaa->rk", tau).real
     keep = p > ZERO_PROBABILITY
     # dropped outcomes divide by 1 so that one eigensolve covers every block
     w, V = np.linalg.eigh(tau / np.where(keep, p, 1.0)[..., None, None])
-    logs = np.where(keep[..., None], np.log2(np.clip(w, EVAL_ZERO_CUTOFF, None)), 0.0)
+    clipped = np.clip(w, EVAL_ZERO_CUTOFF, None)
+    logs = np.where(keep[..., None], np.log2(clipped), 0.0)
     entropies = -np.where(w > EVAL_ZERO_CUTOFF, w * logs, 0.0).sum(axis=-1)
     weights = -(V * logs[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    return (p * entropies).sum(axis=-1), weights
+    # Daleckii-Krein: the divided differences of log2 on the clipped eigenvalues,
+    # (log2 x - log2 y) / (x - y) = log1p(r) / (r y ln 2) with r = |x - y| / y for the
+    # smaller y, so that ties, such as the d - 1 of a pseudo-pure block, get 1 / (y ln 2)
+    low = np.minimum(clipped[..., :, None], clipped[..., None, :])
+    r = np.abs(clipped[..., :, None] - clipped[..., None, :]) / low
+    slopes = np.where(r > 0, np.log1p(r) / np.where(r > 0, r, 1.0), 1.0) / (low * math.log(2))
+    inverse_p = np.where(keep, 1.0 / np.where(keep, p, 1.0), 0.0)
+    second = (V, -inverse_p[..., None, None] * slopes, inverse_p / math.log(2))
+    return (p * entropies).sum(axis=-1), weights, second
 
 
-def _purity_loss(rho_purity: float, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tr(rho^2) - sum_k tr(tau_k^2) per basis, and its derivative weights G_k = -2 tau_k."""
-    return rho_purity - np.einsum("rkab,rkab->r", tau, tau.conj()).real, -2.0 * tau
+def _purity_loss(rho_purity: float, tau: np.ndarray):
+    """tr(rho^2) - sum_k tr(tau_k^2) per basis, its derivative weights G_k = -2 tau_k,
+    and the second-order data (V, L, c) = (I, -2, 0) of d^2(value) = -2 sum_k tr(H_k H'_k)."""
+    second = (np.broadcast_to(np.eye(tau.shape[-1]), tau.shape),
+              np.full(tau.shape, -2.0), np.zeros(tau.shape[:2]))
+    return rho_purity - np.einsum("rkab,rkab->r", tau, tau.conj()).real, -2.0 * tau, second
 
 
 def conditional_ensemble(rho: DensityMatrix, basis) -> ConditionalEnsemble:
@@ -195,53 +213,91 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return (V * np.exp(-1j * w)[:, None, :]) @ V.conj().swapaxes(1, 2)
 
 
+def _gradient_matrix(U: np.ndarray, G: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """A = U^dagger Gamma, Gamma[b,k] = sum G_k[c,a] rho[(a,b),(c,d)] U[d,k], per basis."""
+    R, dB, dA = G.shape[:3]
+    weights = G.transpose(0, 3, 2, 1).reshape(R, dA * dA, 1, dB)
+    return U.conj().swapaxes(1, 2) @ (weights * products).sum(axis=1)
+
+
 def _value_and_gradient(r2: np.ndarray, U: np.ndarray, value_of_blocks):
     """Objective values at the stack of bases U, and their gradients along the generators.
 
-    With Gamma[b,k] = sum G_k[c,a] rho[(a,b),(c,d)] U[d,k] and A = U^dagger Gamma,
-    the derivative along U -> U exp(t E_m) is g_m = 2 Re tr(A^dagger E_m).
+    With A from _gradient_matrix, the derivative along U -> U exp(t E_m) is
+    g_m = 2 Re tr(A^dagger E_m).
     """
     tau, products = _measurement_blocks(r2, U)
-    value, G = value_of_blocks(tau)
-    R, dB, dA = G.shape[:3]
-    weights = G.transpose(0, 3, 2, 1).reshape(R, dA * dA, 1, dB)
-    A = U.conj().swapaxes(1, 2) @ (weights * products).sum(axis=1)
-    i, j = np.triu_indices(dB, 1)
+    value, G, _ = value_of_blocks(tau)
+    A = _gradient_matrix(U, G, products)
+    i, j = np.triu_indices(U.shape[1], 1)
     return value, 2.0 * np.concatenate(
         [(A[:, i, j] - A[:, j, i]).real, (A[:, i, j] + A[:, j, i]).imag], axis=1)
 
 
-def _newton_descent(U: np.ndarray, value_and_gradient):
+def _hessian(r2: np.ndarray, U: np.ndarray, value_of_blocks) -> np.ndarray:
+    """Hessians H_ml = d/dt d/ds f(U exp(t E_m) exp(s E_l)) at 0, per basis of the stack U.
+
+    With u_k = U e_k, P_km = U E_m e_k and T(x, y)[a,c] = sum_bd conj(x_b)
+    rho[(a,b),(c,d)] y_d, the blocks are tau_k = T(u_k, u_k) and move by
+    dtau_km = T(P_km, u_k) + h.c. H_ml is the sum of three terms:
+    2 Re tr((E_m E_l)^dagger A) from the second derivative of the basis,
+    2 Re sum_k P_km^dagger Q_k P_kl with Q_k[b,d] = sum G_k[c,a] rho[(a,b),(c,d)],
+    and the kernel's second derivative sum_k D^2 phi(tau_k)[dtau_km, dtau_kl].
+    Only the 2(d-1) generators that move u_k enter the terms of outcome k.
+    """
+    tau, products = _measurement_blocks(r2, U)
+    _, G, (V, L, c) = value_of_blocks(tau)
+    R, dB, dA = G.shape[:3]
+    n = dB * (dB - 1)
+    E = _skew(np.eye(n), dB)
+    # tr((E_m E_l)^dagger A) = tr(E_l E_m A) = -sum conj(E_l) * (E_m A)
+    EA = (E.reshape(n * dB, dB) @ _gradient_matrix(U, G, products)).reshape(R, n, dB * dB)
+    hessian = -2.0 * (EA @ E.reshape(n, dB * dB).conj().T).real
+    Q = (G.swapaxes(-1, -2).reshape(R, dB, dA * dA) @ r2.reshape(dA * dA, dB * dB))
+    Q = Q.reshape(R, dB, dB, dB)
+    for k in range(dB):  # one outcome at a time: no temporary holds every block's terms
+        m = np.flatnonzero(E[:, :, k].any(axis=1))
+        P = E[m, :, k] @ U.swapaxes(1, 2)  # rows P_km
+        half = (P.conj() @ products[..., k].swapaxes(1, 2)).reshape(R, m.size, dA, dA)
+        dtau = half + half.conj().swapaxes(-1, -2)
+        Vk = V[:, k, None]
+        rotated = (Vk.conj().swapaxes(-1, -2) @ dtau @ Vk).reshape(R, m.size, dA * dA)
+        traces = np.einsum("rmaa->rm", dtau).real
+        hessian[:, m[:, None], m] += (
+            2.0 * (P.conj() @ Q[:, k] @ P.swapaxes(1, 2)).real
+            + ((L[:, k].reshape(R, 1, -1) * rotated) @ rotated.conj().swapaxes(1, 2)).real
+            + c[:, k, None, None] * traces[:, :, None] * traces[:, None, :])
+    return hessian
+
+
+def _newton_descent(U: np.ndarray, value_and_gradient, hessian):
     """Saddle-free Newton descent on U(d) from each basis of the stack U.
 
     `value_and_gradient` maps a stack of bases to their values and their
-    gradients along the generators. Every restart takes the step
-    -V |Lambda|^-1 V^T g from the eigensystem of its symmetrised
-    finite-difference Hessian and halves it until the value decreases. A
-    restart stops when its gradient or its accepted step is within
-    _STEP_TOLERANCE, when no decrease is found, or after _MAX_ITERATIONS
-    steps. Returns the final values and bases, the basis evaluations per
-    restart, and whether each restart stopped in fewer than _MAX_ITERATIONS steps.
+    gradients along the generators, `hessian` to their Hessians. Every
+    restart takes the step -V |Lambda|^-1 V^T g from the eigensystem of its
+    symmetrised Hessian and halves it until the value decreases. A restart
+    stops when its gradient or its accepted step is within _STEP_TOLERANCE,
+    when no decrease is found, or after _MAX_ITERATIONS steps. Returns the
+    final values and bases, the basis evaluations per restart (the start, one
+    Hessian per step and the line-search trials), and whether each restart
+    stopped in fewer than _MAX_ITERATIONS steps.
     """
     U = np.array(U, dtype=complex)
     R, d = U.shape[:2]
     n = d * (d - 1)
-    probes = _expm(_HESSIAN_STEP * _skew(np.eye(n), d))  # exp(h E_m)
     value, g = value_and_gradient(U)
     evaluations, steps = np.ones(R, dtype=int), np.zeros(R, dtype=int)
     active = np.abs(g).max(axis=1) > _STEP_TOLERANCE
     step = np.zeros((R, n))
     while active.any():
         a = np.flatnonzero(active)
-        hessian = np.empty((a.size, n, n))
-        for m in range(n):  # one direction per call: no stack holds more than R bases
-            probed = value_and_gradient(U[a] @ probes[m])[1]
-            hessian[:, :, m] = (probed - g[a]) / _HESSIAN_STEP
-        evaluations[a] += n
+        H = hessian(U[a])
+        evaluations[a] += 1
         steps[a] += 1
         # a complex eigensolve reuses the LAPACK routine of the blocks; a real one
         # would add its own code pages to the peak RSS
-        lam, V = np.linalg.eigh(((hessian + hessian.swapaxes(1, 2)) / 2.0).astype(complex))
+        lam, V = np.linalg.eigh(((H + H.swapaxes(1, 2)) / 2.0).astype(complex))
         curvature = np.abs(lam)
         curvature = np.maximum(curvature, _CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True))
         projected = V.conj().swapaxes(1, 2) @ g[a, :, None]
@@ -273,7 +329,8 @@ def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_bloc
     r2 = _paired_b_indices(rho)
     bases = np.array([random_unitary(dB, [cfg.seed, r]) for r in range(cfg.restarts)])
     values, bases, evaluations, converged = _newton_descent(
-        bases, lambda U: _value_and_gradient(r2, U, value_of_blocks))
+        bases, lambda U: _value_and_gradient(r2, U, value_of_blocks),
+        lambda U: _hessian(r2, U, value_of_blocks))
     best = int(np.argmin(values))
     return OptimizerResult(float(values[best]), bases[best], tuple(map(float, values)),
                            bool(converged[best]), tuple(map(int, evaluations)))

@@ -9,15 +9,18 @@ intended change of the output, and the reason is written down with it.
 
 ``compute-pp-numeric-budget`` pins the choice among restarts that agree
 only up to rounding: at d = 4 with 3 restarts, the three Haar-random starts
-of the discord and the gd search each converge after 135 to 214 basis
-evaluations to minima within 1.2e-14 of each other, so the printed values
+of the discord and the gd search each converge after 23 to 44 basis
+evaluations to minima within 7.1e-15 of each other, so the printed values
 come from whichever restart is lowest in the last bits.
 
 The three oracle digests (``compute-pp-numeric-json``,
 ``compute-pp-numeric-budget`` and ``conjecture``) were re-recorded when the
 basis search moved from a simplex over Givens angles to a Newton descent
 on U(d); the printed values moved by at most 6.7e-15, and the new digests
-are the same with BLAS on one thread and on its default thread count.
+are the same with BLAS on one thread and on its default thread count. They
+were re-recorded again when the Newton steps took an analytic Hessian instead
+of finite differences of the gradient: the printed values moved by at most
+4.2e-15, again with the same digests on one thread and on the default count.
 """
 
 import hashlib
@@ -59,26 +62,29 @@ GOLDEN = {
         ["sweep", "--family", "pp", "--d", "3", "--schmidt", "1,3,2", "--normalize", *GRID,
          "--measures", PP_MEASURES],
         "c4903a9d47f095ec05edd6cd808876c4fce93e76a357d08ce58ca25f1f786108"),
-    # Newton basis search: discord, cc and gd moved by at most 1.6e-15
+    # Newton basis search: discord, cc and gd moved by at most 1.6e-15; analytic Hessian:
+    # gd moved by 8.0e-16, discord and cc by 4.4e-16, each within 1.6e-15 of its closed form
     "compute-pp-numeric-json": (
         ["compute", "--family", "pp", "--d", "3", "--alpha", "0.6", "--schmidt", "0.8,0.6,0",
          "--measures", PP_MEASURES, "--numeric", "--restarts", "4", "--seed", "1",
          "--format", "json"],
-        "f546149fe73aecce373fdaac77ea242bc37702d8f1a45401331d5a83fb4d6eec"),
-    # Newton basis search: every restart now converges; discord and gd moved by at most 6.7e-15
+        "2741547d1dc4a6692539f295b893e3e3cff21d4d0145fb7c9f15bf6357e4cd24"),
+    # Newton basis search: every restart now converges; discord and gd moved by at most 6.7e-15;
+    # analytic Hessian: discord moved by 4.2e-15, gd by 5.6e-16, both within 3.1e-15 of the
+    # closed forms
     "compute-pp-numeric-budget": (
         ["compute", "--family", "pp", "--d", "4", "--alpha", "0.6", "--schmidt", "0.7,0.5,0.4,0.3",
          "--normalize", "--measures", "discord,gd", "--numeric", "--restarts", "3", "--seed", "1",
          "--format", "json"],
-        "29a92e8b04754ec9fcd6c331a10587c2a0738fced9c6893d0df6ff3ca114526a"),
+        "cc5336ffe38eeb125ae4cea66362b4373debada9519238859e304c53f29a6d92"),
     "oracle-compare-isotropic-negativity": (
         ["oracle-compare", "--family", "isotropic", "--d", "3", "--measure", "negativity",
          "--start", "0", "--stop", "1", "--step", "0.1"],
         "87fb021dd3a12062a815123f0391991bab121deede92cefc17efb12ea4176f2e"),
-    # Newton basis search: max_gd_gap went from 8.5e-16 to 1.0e-15
+    # Newton basis search: max_gd_gap went from 8.5e-16 to 1.0e-15; analytic Hessian: to 1.8e-15
     "conjecture": (
         ["conjecture", "--samples", "40", "--dmax", "4"],
-        "92cf183f997d11d7d474c1335a96f9f5ac3d417e8e2330654f4e2d8bb765cc94"),
+        "683505b56c39232ba0b8a5050536649bb04b1ba36099e541910585473ee602d1"),
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -546,3 +547,38 @@ class TestArrayCalls:
     def test_weights_of_more_than_one_axis_are_rejected(self):
         with pytest.raises(ValueError, match="1-D array"):
             WernerParams(2, np.zeros((2, 2)))
+
+
+class TestGoldenBits:
+    """Every closed form of cli.MEASURES, pinned to the bit on a dyadic grid.
+
+    The CLI prints 12 significant digits, so its golden digests miss a change
+    in the last bits of a closed form, such as swapping math.log2 for np.log2
+    (which differs by an ulp on a few inputs). Each digest hashes the float64
+    bytes of every measure of a family, over every dimension, in MEASURES order.
+    The digests were recorded with Python 3.11 and numpy 2.4 on x86-64.
+    """
+
+    GRID = np.arange(4097) / 4096.0  # [0, 1] in steps of 2**-12, exact in binary
+    SCHMIDT = np.arange(6.0, 0.0, -1.0) / math.sqrt(91.0)
+    CASES = {
+        "werner": ([2, 4, 8, 12],
+                   "8ce05ad6a678696d8afd62f779b18f39bce9205da05e483823d2588c45de1771"),
+        "isotropic": ([2, 4, 8, 12],
+                      "b04de5877826f7c74cd26b63e7a814a5107d4e6d2526c3826e29baa35feae72f"),
+        "pp": ([6], "cf0b6d5231834056224d6cb8bf9f9807469f86f2beb0aa22bf29e427c37c1916"),
+    }
+
+    @pytest.mark.parametrize("family", CASES)
+    def test_closed_forms_reproduce_their_bits(self, family):
+        dims, digest = self.CASES[family]
+        sha = hashlib.sha256()
+        for d in dims:
+            params = cli._params(family, d, self.GRID, self.SCHMIDT)
+            for name in cli.MEASURES:
+                fn = cli._closed_fn(family, name)
+                if fn is not None:
+                    values = fn(params)
+                    assert values.dtype == np.float64 and values.shape == self.GRID.shape
+                    sha.update(values.tobytes())
+        assert sha.hexdigest() == digest
