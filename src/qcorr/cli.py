@@ -5,7 +5,8 @@ Subcommands: compute (single point), sweep (parameter grid to CSV), figure
 sweep of gd >= negativity^2) and oracle-compare (closed forms against the
 matrix-based oracle). Output is CSV or JSON with floats at 12 significant
 digits; every stochastic path is seeded, so identical flags give
-byte-identical output.
+byte-identical output. sweep checks its whole request first, then writes
+its rows one grid chunk at a time; the other commands write bounded output.
 
 Exit codes: 0 success, 2 usage, 3 domain, capability or output-file error,
 4 conjecture violation, 1 oracle-compare mismatch.
@@ -234,37 +235,29 @@ def _check_out(path: str | None) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(parts: Iterable[str], path: str | None) -> None:
+    """Write each text part as it comes, to path or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w") as handle:
-            handle.write(text)
+            handle.writelines(parts)
 
 
-def _record(family: str, d: int, value: float, measure: str, result: float, method: str):
-    """One output row, its fields in CSV_HEADER order."""
-    return (family, d, _param_name(family), value, measure, result, method)
-
-
-def _closed_columns(family: str, d: int, grid: list[float], u, fns) -> list[list[float]]:
-    """Each closed form in `fns` at dimension d over the whole grid, one list
-    of floats per form. One parameter record is built per chunk of the grid."""
+def _closed_chunks(family: str, d: int, grid: list[float], u, fns):
+    """Yield (grid values, one list of results per closed form in `fns`) at
+    dimension d, one chunk of max(1, _CHUNK_FLOATS // d) grid values at a time."""
     size = max(1, _CHUNK_FLOATS // d)
-    columns = [[] for _ in fns]
     for lo in range(0, len(grid), size):
-        params = _params(family, d, np.array(grid[lo:lo + size]), u)
-        for column, fn in zip(columns, fns):
-            column += fn(params).tolist()
-    return columns
+        values = grid[lo:lo + size]
+        params = _params(family, d, np.array(values), u)
+        yield values, [fn(params).tolist() for fn in fns]
 
 
-def _records_csv(records: Iterable[tuple]) -> str:
-    lines = [CSV_HEADER] + [
-        ",".join([family, str(d), name, _fmt(value), measure, _fmt(result), method])
-        for family, d, name, value, measure, result, method in records
-    ]
-    return "\n".join(lines) + "\n"
+def _rows(family: str, d: int, value: float, results, method: str) -> str:
+    """The CSV_HEADER rows of one parameter value, one per (measure, result) pair."""
+    head = f"{family},{d},{_param_name(family)},{_fmt(value)},"
+    return "".join(f"{head}{measure},{_fmt(result)},{method}\n" for measure, result in results)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +270,20 @@ def cmd_compute(parser, args) -> int:
     family, value = args.family, _param_value(args)
     _check_measures(family, args.measures)
     params = _params(family, args.d, value, _schmidt_vector(args))
-    records = [_record(family, args.d, value, m, _closed_fn(family, m)(params), "closed")
-               for m in args.measures]
+    results = {"closed": [(m, _closed_fn(family, m)(params)) for m in args.measures]}
     if args.numeric:
         cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
         point = OraclePoint(_state(family, params), cfg)
-        records += [_record(family, args.d, value, m, MEASURES[m].oracle(point), "numeric")
-                    for m in args.measures if MEASURES[m].oracle is not None]
+        results["numeric"] = [(m, MEASURES[m].oracle(point))
+                              for m in args.measures if MEASURES[m].oracle is not None]
     if args.format == "json":
-        payload = [dict(zip(CSV_HEADER.split(","), rec)) for rec in records]
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        head = (family, args.d, _param_name(family), value)
+        payload = [dict(zip(CSV_HEADER.split(","), (*head, m, result, method)))
+                   for method, pairs in results.items() for m, result in pairs]
+        _write([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
-        _write(_records_csv(records), args.out)
+        _write([CSV_HEADER + "\n"] + [_rows(family, args.d, value, pairs, method)
+                                      for method, pairs in results.items()], args.out)
     return EXIT_OK
 
 
@@ -299,16 +294,18 @@ def cmd_sweep(parser, args) -> int:
     _check_measures(family, args.measures)
     u = _schmidt_vector(args)
     grid = _grid(args.start, args.stop, args.step)
+    for d in args.d:  # the whole request, before the first row: a bad one writes nothing
+        _params(family, d, np.array(grid), u)
     fns = [_closed_fn(family, m) for m in args.measures]
 
-    def records():  # formatted as they come, so no list of all the records is held
+    def parts():  # one part per chunk, so no more than a chunk of rows is held
+        yield CSV_HEADER + "\n"
         for d in args.d:
-            columns = _closed_columns(family, d, grid, u, fns)
-            for i, value in enumerate(grid):
-                for m, column in zip(args.measures, columns):
-                    yield _record(family, d, value, m, column[i], "closed")
+            for chunk, columns in _closed_chunks(family, d, grid, u, fns):
+                yield "".join(_rows(family, d, value, zip(args.measures, results), "closed")
+                              for value, *results in zip(chunk, *columns))
 
-    _write(_records_csv(records()), args.out)
+    _write(parts(), args.out)
     return EXIT_OK
 
 
@@ -339,11 +336,12 @@ def cmd_figure(parser, args) -> int:
     grid = [i / 100.0 for i in range(101)]
     header = [_param_name(family)] + [f"{label}_d{d}" for d in dims]
     lines = [",".join(header + ([extra[0]] if extra else []))]
-    columns = [grid] + [_closed_columns(family, d, grid, None, [column])[0] for d in dims]
+    columns = [grid] + [[x for _, (results,) in _closed_chunks(family, d, grid, None, [column])
+                         for x in results] for d in dims]
     if extra is not None:
         columns.append(extra[1](np.array(grid)).tolist())
     lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
-    _write("\n".join(lines) + "\n", args.out)
+    _write(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -363,7 +361,7 @@ def cmd_conjecture(parser, args) -> int:
         "max_gd_gap": report.max_gd_gap,
         "max_negativity_gap": report.max_negativity_gap,
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write([json.dumps(payload, indent=2) + "\n"], args.out)
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
@@ -371,15 +369,16 @@ def cmd_oracle_compare(parser, args) -> int:
     _require_schmidt(parser, args)
     _check_out(args.out)
     family, measure = args.family, args.measure
+    _check_measures(family, [measure])
     closed_fn = _closed_fn(family, measure)
-    if closed_fn is None:
-        raise ValueError(f"measure {measure!r} has no closed form for family {family!r}")
     u = _schmidt_vector(args)
     tolerance = MEASURES[measure].tolerance
     cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    grid = _grid(args.start, args.stop, args.step)
+    _params(family, args.d, np.array(grid), u)  # every grid value, before the first point
     lines = ["family,d,measure,param_name,param_value,closed,numeric,abs_gap"]
     max_gap = 0.0
-    for value in _grid(args.start, args.stop, args.step):
+    for value in grid:
         params = _params(family, args.d, value, u)
         closed = closed_fn(params)
         numeric = MEASURES[measure].oracle(OraclePoint(_state(family, params), cfg))
@@ -387,7 +386,7 @@ def cmd_oracle_compare(parser, args) -> int:
         max_gap = max(max_gap, gap)
         lines.append(",".join([family, str(args.d), measure, _param_name(family),
                                *map(_fmt, (value, closed, numeric, gap))]))
-    _write("\n".join(lines) + "\n", args.out)
+    _write(["\n".join(lines) + "\n"], args.out)
     status = "ok" if max_gap <= tolerance else "fail"
     print(
         f"oracle-compare {family} d={args.d} {measure}: "

@@ -203,6 +203,23 @@ class TestSweep:
         assert (code, out.count("\n")) == (0, 1 + 2 * 81)
         assert peak < 8 * 2**20
 
+    def test_rows_are_written_chunk_by_chunk(self, tmp_path, capsys):
+        # 16385 lambdas at d = 64, five rows each, written one chunk of 1024 lambdas at a
+        # time: the traced peak is about 1.7 MiB; the whole table held at once took 18.7 MiB
+        path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--family", "werner", "--d", "64", "--start", "0", "--stop", "1",
+                "--step", "6.103515625e-05", "--measures", "discord,cc,mi,eof,asymptote",
+                "--out", str(path)]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().out) == (0, "")
+        assert path.read_text().count("\n") == 1 + 5 * 16385
+        assert peak < 4 * 2**20
+
 
 class TestFigure:
     def test_fig1_discord_zero_at_mixed_points(self, tmp_path, capsys):
@@ -478,6 +495,54 @@ class TestExitCodes:
                  "--measures", "discord", "--out", str(path)], capsys)
             assert code == 3 and "lam" in err
         assert not fresh.exists() and kept.read_text() == "keep\n"
+
+    @pytest.fixture
+    def closed_calls(self, monkeypatch):
+        """Records the name of every closed-form library function called."""
+        calls = []
+        for name, fn in vars(cf).items():
+            if callable(fn) and getattr(fn, "__module__", None) == cf.__name__:
+                def counted(*a, fn=fn, name=name, **k):
+                    calls.append(name)
+                    return fn(*a, **k)
+
+                monkeypatch.setattr(cf, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, message", [
+        # the grid leaves [0, 1] in its 4th chunk of 32768 values at d = 2
+        (["--family", "werner", "--d", "2", "--start", "0", "--stop", "1.0001",
+          "--step", "1e-5"], "lam must lie in [0, 1], got 1.00001"),
+        (["--family", "pp", "--d", "2,3", "--schmidt", "0.8,0.6", "--start", "0",
+          "--stop", "1", "--step", "0.5"], "Schmidt vector has length 2, expected 3"),
+    ], ids=["grid", "schmidt"])
+    def test_sweep_checks_the_whole_request_first(self, argv, message, tmp_path, capsys,
+                                                  closed_calls):
+        path = tmp_path / "x.csv"
+        for out in ([], ["--out", str(path)]):
+            code, stdout, err = run_cli(["sweep", *argv, "--measures", "discord", *out], capsys)
+            assert (code, stdout, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
+        assert not path.exists()
+
+    def test_oracle_compare_checks_the_whole_grid_first(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "discord_numeric", lambda *a: calls.append(a))
+        code, out, err = run_cli(
+            ["oracle-compare", "--family", "werner", "--d", "2", "--measure", "discord",
+             "--start", "0.5", "--stop", "1.5", "--step", "0.25"], capsys)
+        assert (code, out, err, calls) == (3, "", "qcorr: lam must lie in [0, 1], got 1.25\n", [])
+
+    def test_measure_without_closed_form_has_one_error_text(self, capsys):
+        werner = ["--family", "werner", "--d", "2"]
+        grid = ["--start", "0", "--stop", "1", "--step", "0.5"]
+        errors = []
+        for argv in (["compute", *werner, "--lambda", "0.5", "--measures", "gd"],
+                     ["sweep", *werner, *grid, "--measures", "gd"],
+                     ["oracle-compare", *werner, *grid, "--measure", "gd"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (3, "") and "gd" in err
+            errors.append(err)
+        assert len(set(errors)) == 1
 
     def test_sweep_has_no_seed_option(self, capsys):
         code, _, _ = run_cli(

@@ -51,6 +51,19 @@ GOLDEN = {
     "figure-fig6": (
         ["figure", "fig6"],
         "e6b15dfeb46f66df999f7e69055e045bf096bd5ce80827a4ccccfd1ac30a2345"),
+    # closed rows of compute in CSV form
+    "compute-werner": (
+        ["compute", "--family", "werner", "--d", "3", "--lambda", "0.8",
+         "--measures", "discord,cc,mi,eof,asymptote"],
+        "5b7a74e1ac89a447dc3dc7a0de011c3e06925e2bff7412dad4835dedd6a3af73"),
+    "compute-isotropic": (
+        ["compute", "--family", "isotropic", "--d", "3", "--alpha", "0.6",
+         "--measures", PP_MEASURES],
+        "bb766a950da9eda1a4a4af18b0bd8a20a291c1975e590719cd98898f5fbb9cac"),
+    "compute-pp-normalize": (
+        ["compute", "--family", "pp", "--d", "4", "--alpha", "0.6", "--schmidt", "0.7,0.5,0.4,0.3",
+         "--normalize", "--measures", PP_MEASURES],
+        "0b33857b864e8263d1046660f127f85faac6676fb00eee5da5956192f9e13f50"),
     "sweep-werner": (
         ["sweep", "--family", "werner", "--d", "2,3,10", *GRID,
          "--measures", "discord,cc,mi,eof,asymptote"],
@@ -102,6 +115,15 @@ def test_digest_with_the_grid_in_chunks(name, chunk_floats, capsys, monkeypatch)
     # each dimension's grid is evaluated in chunks of chunk_floats // d values (at least one)
     monkeypatch.setattr(cli, "_CHUNK_FLOATS", chunk_floats)
     test_stdout_digest(name, capsys)
+
+
+@pytest.mark.parametrize("name", [n for n in GOLDEN if n.startswith(("compute", "sweep", "figure"))])
+def test_out_file_holds_the_stdout_bytes(name, tmp_path, capsys):
+    argv, digest = GOLDEN[name]
+    path = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_oracle_compare_summary_line(capsys):

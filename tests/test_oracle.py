@@ -378,6 +378,26 @@ class TestNewtonDescent:
         gaps = [abs(4 / 3 * v - cf.pp_gd(p)) for v in gd.per_restart_values]
         assert max(gaps) <= 1e-12
 
+    @pytest.mark.parametrize("d, K", [(3, 2), (4, 2), (4, 3)])
+    def test_every_restart_converges_where_outcomes_drop(self, d, K, rng):
+        # sum_k p_k sigma_k (x) |k><k| over k < K < d: the measured marginal has rank K, so
+        # the optimal (standard) basis drops outcomes K..d-1, where the conditional entropy
+        # is not twice differentiable and _hessian leaves their terms out. Discord is zero.
+        p = rng.dirichlet(np.ones(K))
+        sigmas = [random_density(d, rng) for _ in range(K)]
+        rho = DensityMatrix(sum(p[k] * np.kron(sigmas[k], np.diag(np.eye(d)[k]))
+                                for k in range(K)), (d, d))
+        expected = sum(p[k] * von_neumann_entropy(sigmas[k]) for k in range(K))
+        cfg = OptimizerConfig(restarts=4, seed=d + K)
+        res = minimize_conditional_entropy(rho, cfg)
+        start = np.array([random_unitary(d, [cfg.seed, r]) for r in range(cfg.restarts)])
+        values, _, _, converged = descend(oracle._paired_b_indices(rho), start,
+                                          oracle._ce_of_blocks)
+        assert values.tobytes() == np.array(res.per_restart_values).tobytes()
+        assert converged.all()
+        assert max(abs(v - expected) for v in res.per_restart_values) <= 1e-9
+        assert abs(discord_numeric(rho, cfg)) <= 1e-9
+
 
 def test_import_leaves_scipy_unloaded():
     src = str(Path(oracle.__file__).parents[1])
