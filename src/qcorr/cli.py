@@ -9,7 +9,8 @@ byte-identical output. sweep checks its whole request first, then writes
 its rows one grid chunk at a time; the other commands write bounded output.
 
 Exit codes: 0 success, 2 usage, 3 domain, capability or output-file error,
-4 conjecture violation, 1 oracle-compare mismatch.
+4 conjecture violation, 1 oracle-compare mismatch, 141 (128 + SIGPIPE) when
+the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VIOLATION = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer that SIGPIPE ended
 
 # Largest parameter grid sweep and oracle-compare accept, checked before building it.
 MAX_GRID_POINTS = 10**6
@@ -172,7 +174,7 @@ def _schmidt_vector(args):
     return normalized_schmidt(args.schmidt) if args.normalize else args.schmidt
 
 
-def _grid(start: float, stop: float, step: float) -> list[float]:
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ValueError("grid start, stop and step must be finite")
     if step <= 0:
@@ -182,7 +184,7 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     intervals = (stop - start) / step + 1e-9
     if intervals >= MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
-    points = [min(start + i * step, stop) for i in range(int(intervals) + 1)]
+    points = np.minimum(start + np.arange(int(intervals) + 1) * step, stop)
     if stop - points[-1] <= 1e-9 * step:
         points[-1] = stop  # admitted by the slack above, so it stands for stop
     return points
@@ -244,14 +246,14 @@ def _write(parts: Iterable[str], path: str | None) -> None:
             handle.writelines(parts)
 
 
-def _closed_chunks(family: str, d: int, grid: list[float], u, fns):
+def _closed_chunks(family: str, d: int, grid: np.ndarray, u, fns):
     """Yield (grid values, one list of results per closed form in `fns`) at
     dimension d, one chunk of max(1, _CHUNK_FLOATS // d) grid values at a time."""
     size = max(1, _CHUNK_FLOATS // d)
     for lo in range(0, len(grid), size):
         values = grid[lo:lo + size]
-        params = _params(family, d, np.array(values), u)
-        yield values, [fn(params).tolist() for fn in fns]
+        params = _params(family, d, values, u)
+        yield values.tolist(), [fn(params).tolist() for fn in fns]
 
 
 def _rows(family: str, d: int, value: float, results, method: str) -> str:
@@ -295,7 +297,7 @@ def cmd_sweep(parser, args) -> int:
     u = _schmidt_vector(args)
     grid = _grid(args.start, args.stop, args.step)
     for d in args.d:  # the whole request, before the first row: a bad one writes nothing
-        _params(family, d, np.array(grid), u)
+        _params(family, d, grid, u)
     fns = [_closed_fn(family, m) for m in args.measures]
 
     def parts():  # one part per chunk, so no more than a chunk of rows is held
@@ -333,13 +335,14 @@ def cmd_figure(parser, args) -> int:
     def column(p):
         return reduce(operator.sub, (fn(p) for fn in fns))
 
-    grid = [i / 100.0 for i in range(101)]
+    grid = np.arange(101) / 100.0
     header = [_param_name(family)] + [f"{label}_d{d}" for d in dims]
     lines = [",".join(header + ([extra[0]] if extra else []))]
-    columns = [grid] + [[x for _, (results,) in _closed_chunks(family, d, grid, None, [column])
-                         for x in results] for d in dims]
+    columns = [grid.tolist()]
+    columns += [[x for _, (results,) in _closed_chunks(family, d, grid, None, [column])
+                 for x in results] for d in dims]
     if extra is not None:
-        columns.append(extra[1](np.array(grid)).tolist())
+        columns.append(extra[1](grid).tolist())
     lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
     _write(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
@@ -375,10 +378,10 @@ def cmd_oracle_compare(parser, args) -> int:
     tolerance = MEASURES[measure].tolerance
     cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
     grid = _grid(args.start, args.stop, args.step)
-    _params(family, args.d, np.array(grid), u)  # every grid value, before the first point
+    _params(family, args.d, grid, u)  # every grid value, before the first point
     lines = ["family,d,measure,param_name,param_value,closed,numeric,abs_gap"]
     max_gap = 0.0
-    for value in grid:
+    for value in grid.tolist():
         params = _params(family, args.d, value, u)
         closed = closed_fn(params)
         numeric = MEASURES[measure].oracle(OraclePoint(_state(family, params), cfg))
@@ -476,6 +479,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
+    except BrokenPipeError:
+        # the reader has all it wants: say nothing, and send what stdout still buffers
+        # to os.devnull, so that the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"qcorr: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

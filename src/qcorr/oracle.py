@@ -14,20 +14,26 @@ restart starts from a Haar-random basis with a deterministic per-restart
 seed and runs a saddle-free Newton descent on U(d) (Edelman, Arias & Smith,
 SIAM J. Matrix Anal. Appl. 20, 1998): the objectives' analytic gradients
 along the d(d-1) off-diagonal skew-Hermitian generators (column phases do
-not change a measurement), their analytic Hessian from one evaluation of
-the blocks, a step along the Hessian's eigenvectors scaled by the inverse
-absolute eigenvalues, and an exponential retraction, until the gradient or
-the accepted step is within _STEP_TOLERANCE. The Hessian adds the second
-derivative of the basis and the cross terms of the blocks to each kernel's
-second derivative in its blocks; for the conditional entropy that is the
-Daleckii-Krein form, the divided differences of log2 on each block's
-eigensystem. All restarts advance together, so every basis evaluation is one
-batched call over a stack of bases, and a restart's result does not depend on
-the others.
+not change a measurement), their analytic Hessian, a step along the
+eigenvectors of the real symmetric Hessian scaled by the inverse absolute
+eigenvalues, and an exponential retraction, until the gradient or the
+accepted step is within _STEP_TOLERANCE. A step's first trial rotates the
+basis by at most pi, the injectivity radius of the exponential (Absil,
+Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+ch. 4 and 7), and the line search halves it from there. The Hessian adds
+the second derivative of the basis and the cross terms of the blocks to
+each kernel's second derivative in its blocks; for the conditional entropy
+that is the Daleckii-Krein form, the divided differences of log2 on each
+block's eigensystem. It is built from the blocks, kernel data and gradient
+matrix that the evaluation of the accepted basis already computed, so it
+evaluates neither the blocks nor the kernel again. All restarts advance
+together, so every basis evaluation is one batched call over a stack of
+bases, and a restart's result does not depend on the others.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +69,11 @@ CONJECTURE_GAP_TOL = 1e-10
 _MAX_ITERATIONS = 100  # Newton steps per restart
 _STEP_TOLERANCE = 1e-10  # stop below this gradient or accepted-step size
 _CURVATURE_FLOOR = 1e-8  # relative to the largest |eigenvalue| of the Hessian
+# Largest Frobenius norm of a first trial rotation X. The spectral norm of X is at
+# most its Frobenius norm, so no trial turns the basis by an angle above pi, the
+# injectivity radius of exp: beyond it exp(X) wraps around, and a trial there is
+# only rejected and halved again.
+_MAX_ROTATION = math.pi
 
 
 @dataclass(frozen=True)
@@ -193,6 +204,14 @@ def measured_conditional_entropy(rho: DensityMatrix, basis) -> float:
     return float(_ce_of_blocks(_blocks(rho, basis))[0][0])
 
 
+@functools.cache
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only indices (i, j), i < j, of the entries the generators at dimension d set."""
+    i, j = np.triu_indices(d, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _skew(s: np.ndarray, d: int) -> np.ndarray:
     """sum_m s_m E_m, a d x d skew-Hermitian matrix, for each row s of coefficients.
 
@@ -200,11 +219,25 @@ def _skew(s: np.ndarray, d: int) -> np.ndarray:
     i < j, the second half their imaginary parts; the diagonal is zero.
     """
     half = d * (d - 1) // 2
-    i, j = np.triu_indices(d, 1)
+    i, j = _pairs(d)
     X = np.zeros((s.shape[0], d, d), dtype=complex)
     X[:, i, j] = s[:, :half] + 1j * s[:, half:]
     X[:, j, i] = -s[:, :half] + 1j * s[:, half:]
     return X
+
+
+@functools.cache
+def _generators(d: int):
+    """The read-only (n, d, d) stack of the n = d(d-1) generators E_m, and per outcome k
+    the indices m of the 2(d-1) generators that move u_k = U e_k with their columns E_m e_k."""
+    E = _skew(np.eye(d * (d - 1)), d)
+    moving = []
+    for k in range(d):
+        m = np.flatnonzero(E[:, :, k].any(axis=1))
+        moving.append((m, E[m, :, k]))
+    for table in (E, *(x for pair in moving for x in pair)):
+        table.flags.writeable = False
+    return E, tuple(moving)
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
@@ -221,43 +254,47 @@ def _gradient_matrix(U: np.ndarray, G: np.ndarray, products: np.ndarray) -> np.n
 
 
 def _value_and_gradient(r2: np.ndarray, U: np.ndarray, value_of_blocks):
-    """Objective values at the stack of bases U, and their gradients along the generators.
+    """Objective values at the stack of bases U, their gradients along the generators,
+    and the derivative data (products, G, V, L, c, A) that _hessian takes at U.
 
-    With A from _gradient_matrix, the derivative along U -> U exp(t E_m) is
-    g_m = 2 Re tr(A^dagger E_m).
+    products come from _measurement_blocks, G and (V, L, c) from the kernel
+    `value_of_blocks`, and A from _gradient_matrix; the derivative along
+    U -> U exp(t E_m) is g_m = 2 Re tr(A^dagger E_m).
     """
     tau, products = _measurement_blocks(r2, U)
-    value, G, _ = value_of_blocks(tau)
+    value, G, (V, L, c) = value_of_blocks(tau)
     A = _gradient_matrix(U, G, products)
-    i, j = np.triu_indices(U.shape[1], 1)
-    return value, 2.0 * np.concatenate(
+    i, j = _pairs(U.shape[1])
+    g = 2.0 * np.concatenate(
         [(A[:, i, j] - A[:, j, i]).real, (A[:, i, j] + A[:, j, i]).imag], axis=1)
+    return value, g, (products, G, V, L, c, A)
 
 
-def _hessian(r2: np.ndarray, U: np.ndarray, value_of_blocks) -> np.ndarray:
+def _hessian(r2: np.ndarray, U: np.ndarray, data) -> np.ndarray:
     """Hessians H_ml = d/dt d/ds f(U exp(t E_m) exp(s E_l)) at 0, per basis of the stack U.
 
-    With u_k = U e_k, P_km = U E_m e_k and T(x, y)[a,c] = sum_bd conj(x_b)
-    rho[(a,b),(c,d)] y_d, the blocks are tau_k = T(u_k, u_k) and move by
-    dtau_km = T(P_km, u_k) + h.c. H_ml is the sum of three terms:
-    2 Re tr((E_m E_l)^dagger A) from the second derivative of the basis,
-    2 Re sum_k P_km^dagger Q_k P_kl with Q_k[b,d] = sum G_k[c,a] rho[(a,b),(c,d)],
-    and the kernel's second derivative sum_k D^2 phi(tau_k)[dtau_km, dtau_kl].
-    Only the 2(d-1) generators that move u_k enter the terms of outcome k.
+    `data` is the derivative data _value_and_gradient returned at U, so the
+    blocks and the kernel are not evaluated again. With u_k = U e_k,
+    P_km = U E_m e_k and T(x, y)[a,c] = sum_bd conj(x_b) rho[(a,b),(c,d)] y_d,
+    the blocks are tau_k = T(u_k, u_k) and move by dtau_km = T(P_km, u_k) + h.c.
+    H_ml is the sum of three terms: 2 Re tr((E_m E_l)^dagger A) from the
+    second derivative of the basis, 2 Re sum_k P_km^dagger Q_k P_kl with
+    Q_k[b,d] = sum G_k[c,a] rho[(a,b),(c,d)], and the kernel's second
+    derivative sum_k D^2 phi(tau_k)[dtau_km, dtau_kl]. Only the 2(d-1)
+    generators that move u_k enter the terms of outcome k.
     """
-    tau, products = _measurement_blocks(r2, U)
-    _, G, (V, L, c) = value_of_blocks(tau)
+    products, G, V, L, c, A = data
     R, dB, dA = G.shape[:3]
     n = dB * (dB - 1)
-    E = _skew(np.eye(n), dB)
+    E, moving = _generators(dB)
     # tr((E_m E_l)^dagger A) = tr(E_l E_m A) = -sum conj(E_l) * (E_m A)
-    EA = (E.reshape(n * dB, dB) @ _gradient_matrix(U, G, products)).reshape(R, n, dB * dB)
+    EA = (E.reshape(n * dB, dB) @ A).reshape(R, n, dB * dB)
     hessian = -2.0 * (EA @ E.reshape(n, dB * dB).conj().T).real
     Q = (G.swapaxes(-1, -2).reshape(R, dB, dA * dA) @ r2.reshape(dA * dA, dB * dB))
     Q = Q.reshape(R, dB, dB, dB)
-    for k in range(dB):  # one outcome at a time: no temporary holds every block's terms
-        m = np.flatnonzero(E[:, :, k].any(axis=1))
-        P = E[m, :, k] @ U.swapaxes(1, 2)  # rows P_km
+    # one outcome at a time: no temporary holds every block's terms
+    for k, (m, columns) in enumerate(moving):
+        P = columns @ U.swapaxes(1, 2)  # rows P_km
         half = (P.conj() @ products[..., k].swapaxes(1, 2)).reshape(R, m.size, dA, dA)
         dtau = half + half.conj().swapaxes(-1, -2)
         Vk = V[:, k, None]
@@ -273,48 +310,55 @@ def _hessian(r2: np.ndarray, U: np.ndarray, value_of_blocks) -> np.ndarray:
 def _newton_descent(U: np.ndarray, value_and_gradient, hessian):
     """Saddle-free Newton descent on U(d) from each basis of the stack U.
 
-    `value_and_gradient` maps a stack of bases to their values and their
-    gradients along the generators, `hessian` to their Hessians. Every
+    `value_and_gradient` maps a stack of bases to their values, their
+    gradients along the generators and a tuple of per-basis derivative data;
+    `hessian` maps a stack of bases and that data to their Hessians. Every
     restart takes the step -V |Lambda|^-1 V^T g from the eigensystem of its
-    symmetrised Hessian and halves it until the value decreases. A restart
-    stops when its gradient or its accepted step is within _STEP_TOLERANCE,
-    when no decrease is found, or after _MAX_ITERATIONS steps. Returns the
-    final values and bases, the basis evaluations per restart (the start, one
-    Hessian per step and the line-search trials), and whether each restart
-    stopped in fewer than _MAX_ITERATIONS steps.
+    symmetrised Hessian, first tries it scaled by t = min(1, _MAX_ROTATION /
+    ||X||_F) for X = _skew(step), and halves t until the value decreases. The
+    data of each restart's accepted basis is kept for its next Hessian. A
+    restart stops when its gradient or its accepted step is within
+    _STEP_TOLERANCE, when no decrease is found, or after _MAX_ITERATIONS
+    steps. Returns the final values and bases, the basis evaluations per
+    restart (the start, one Hessian per step and the line-search trials), and
+    whether each restart stopped in fewer than _MAX_ITERATIONS steps.
     """
     U = np.array(U, dtype=complex)
     R, d = U.shape[:2]
     n = d * (d - 1)
-    value, g = value_and_gradient(U)
+    value, g, data = value_and_gradient(U)
+    data = [np.array(x) for x in data]  # writable copies, also of broadcast views
     evaluations, steps = np.ones(R, dtype=int), np.zeros(R, dtype=int)
     active = np.abs(g).max(axis=1) > _STEP_TOLERANCE
-    step = np.zeros((R, n))
+    step, t = np.zeros((R, n)), np.zeros(R)
     while active.any():
         a = np.flatnonzero(active)
-        H = hessian(U[a])
+        H = hessian(U[a], [x[a] for x in data])
         evaluations[a] += 1
         steps[a] += 1
-        # a complex eigensolve reuses the LAPACK routine of the blocks; a real one
-        # would add its own code pages to the peak RSS
-        lam, V = np.linalg.eigh(((H + H.swapaxes(1, 2)) / 2.0).astype(complex))
+        lam, V = np.linalg.eigh((H + H.swapaxes(1, 2)) / 2.0)
         curvature = np.abs(lam)
         curvature = np.maximum(curvature, _CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True))
-        projected = V.conj().swapaxes(1, 2) @ g[a, :, None]
-        step[a] = -(V @ (projected / curvature[..., None])).real[..., 0]
-        t, pending = 1.0, a
+        projected = V.swapaxes(1, 2) @ g[a, :, None]
+        step[a] = -(V @ (projected / curvature[..., None]))[..., 0]
+        norms = np.linalg.norm(_skew(step[a], d), axis=(1, 2))
+        t[a] = _MAX_ROTATION / np.maximum(norms, _MAX_ROTATION)
+        pending = a
         while pending.size:
-            trial = U[pending] @ _expm(_skew(t * step[pending], d))
-            trial_value, trial_g = value_and_gradient(trial)
+            trial = U[pending] @ _expm(_skew(t[pending, None] * step[pending], d))
+            trial_value, trial_g, trial_data = value_and_gradient(trial)
             evaluations[pending] += 1
             better = trial_value < value[pending]
-            small = t * np.abs(step[pending]).max(axis=1) <= _STEP_TOLERANCE
+            small = t[pending] * np.abs(step[pending]).max(axis=1) <= _STEP_TOLERANCE
             accepted = pending[better]
             U[accepted], value[accepted] = trial[better], trial_value[better]
             g[accepted] = trial_g[better]
+            for stored, computed in zip(data, trial_data):
+                stored[accepted] = computed[better]
             active[pending[small]] = False
             active[accepted[np.abs(trial_g[better]).max(axis=1) <= _STEP_TOLERANCE]] = False
-            pending, t = pending[~better & ~small], t / 2.0
+            pending = pending[~better & ~small]
+            t[pending] /= 2.0
         active &= steps < _MAX_ITERATIONS
     return value, U, evaluations, steps < _MAX_ITERATIONS
 
@@ -330,7 +374,7 @@ def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_bloc
     bases = np.array([random_unitary(dB, [cfg.seed, r]) for r in range(cfg.restarts)])
     values, bases, evaluations, converged = _newton_descent(
         bases, lambda U: _value_and_gradient(r2, U, value_of_blocks),
-        lambda U: _hessian(r2, U, value_of_blocks))
+        lambda U, data: _hessian(r2, U, data))
     best = int(np.argmin(values))
     return OptimizerResult(float(values[best]), bases[best], tuple(map(float, values)),
                            bool(converged[best]), tuple(map(int, evaluations)))

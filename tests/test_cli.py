@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -359,6 +361,27 @@ class TestConsoleScript:
 
 
 class TestExitCodes:
+    def test_reader_that_closes_early_gets_exit_141(self):
+        # 10^5 lambdas and five measures, 25 MB of rows: far more than a pipe holds, so
+        # sweep is still writing when the reader leaves after the header
+        src = str(Path(cli.__file__).parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcorr.cli", "sweep", "--family", "werner", "--d", "2",
+             "--start", "0", "--stop", "0.99999", "--step", "1e-5",
+             "--measures", "discord,cc,mi,eof,asymptote"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline().decode() == cli.CSV_HEADER + "\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(["compute", "--family", "nosuch", "--d", "2"], capsys)
         assert code == 2
@@ -562,6 +585,18 @@ class TestGrid:
         grid = cli._grid(0.0, 1.0, 1.0 / (cli.MAX_GRID_POINTS - 1))
         assert len(grid) == cli.MAX_GRID_POINTS
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 1.0, 0.05), (0.1, 0.9, 0.07), (-3.0, 2.5, 1e-3), (0.25, 0.25, 0.1),
+        (0.0, 1.0, 1.0 / 999999),
+    ])
+    def test_points_equal_the_scalar_rule(self, start, stop, step):
+        grid = cli._grid(start, stop, step)
+        intervals = (stop - start) / step + 1e-9
+        expected = [min(start + i * step, stop) for i in range(int(intervals) + 1)]
+        if stop - expected[-1] <= 1e-9 * step:
+            expected[-1] = stop
+        assert grid.dtype == np.float64 and grid.tobytes() == np.array(expected).tobytes()
 
     def test_last_point_within_slack_is_stop(self):
         # 999999 * (1 / 999999) is 0.9999999999999999

@@ -197,16 +197,23 @@ def blocks_kernel(measure, rho):
 def descend(r2, start, kernel):
     """One Newton descent from the stack of bases `start`, as _minimize_over_bases runs it."""
     return oracle._newton_descent(start, lambda U: oracle._value_and_gradient(r2, U, kernel),
-                                  lambda U: oracle._hessian(r2, U, kernel))
+                                  lambda U, data: oracle._hessian(r2, U, data))
+
+
+def closed_form_cases(d):
+    """The optimizer settings and the two pseudo-pure states of the every-restart gate at d."""
+    cfg = OptimizerConfig(restarts=8 if d <= 6 else 4, seed=d)
+    return cfg, [PseudoPureParams(d, 0.3 + 0.4 * i, random_schmidt_vector(d, 60 * d + i))
+                 for i in range(2)]
 
 
 def count_rows(monkeypatch):
     """Record the number of bases of every gradient call and every Hessian call."""
     rows = {"_value_and_gradient": [], "_hessian": []}
     for name, calls in rows.items():
-        def counted(r2, U, value_of_blocks, evaluate=getattr(oracle, name), calls=calls):
+        def counted(r2, U, arg, evaluate=getattr(oracle, name), calls=calls):
             calls.append(len(U))
-            return evaluate(r2, U, value_of_blocks)
+            return evaluate(r2, U, arg)
 
         monkeypatch.setattr(oracle, name, counted)
     return rows
@@ -300,7 +307,7 @@ class TestNewtonDescent:
         kernel = blocks_kernel(measure, rho)
         r2 = oracle._paired_b_indices(rho)
         U = np.array([random_unitary(d, s) for s in range(3)])
-        _, g = oracle._value_and_gradient(r2, U, kernel)
+        _, g, _ = oracle._value_and_gradient(r2, U, kernel)
         h = 1e-5
         for m in range(d * (d - 1)):
             e = np.zeros((1, d * (d - 1)))
@@ -333,7 +340,7 @@ class TestNewtonDescent:
             kernel = blocks_kernel(measure, rho)
             r2 = oracle._paired_b_indices(rho)
             U = np.array(bases)
-            hessian = oracle._hessian(r2, U, kernel)
+            hessian = oracle._hessian(r2, U, oracle._value_and_gradient(r2, U, kernel)[2])
             assert hessian.shape == (len(bases), n, n)
             if rho is werner:
                 assert np.abs(hessian).max() <= 1e-13
@@ -352,12 +359,80 @@ class TestNewtonDescent:
         E = oracle._expm(X)
         assert np.abs(E @ E.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
 
+    def test_cached_generators_equal_skew_of_identity(self):
+        for d in range(2, oracle.MAX_MEASURED_DIM + 1):
+            n = d * (d - 1)
+            E, moving = oracle._generators(d)
+            expected = oracle._skew(np.eye(n), d)
+            assert E.dtype == expected.dtype and E.shape == expected.shape
+            assert E.tobytes() == expected.tobytes()
+            assert not E.flags.writeable  # one table serves every caller
+            for k, (m, columns) in enumerate(moving):
+                assert m.tolist() == np.flatnonzero(np.abs(expected[:, :, k]).sum(axis=1)).tolist()
+                assert m.size == 2 * (d - 1) and columns.tobytes() == expected[m, :, k].tobytes()
+
+    @pytest.mark.parametrize("measure", ["ce", "gd"])
+    def test_hessian_of_reused_data_equals_fresh_evaluation(self, measure, monkeypatch):
+        # every Hessian of a search takes the data of the trial that was accepted at its basis
+        calls = []
+
+        def recorded(r2, U, data):
+            calls.append((r2, U.copy(), [x.copy() for x in data]))
+            return hessian(r2, U, data)
+
+        hessian = oracle._hessian
+        monkeypatch.setattr(oracle, "_hessian", recorded)
+        for d in (2, 3, 4, 5, 6):
+            rho = build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, 40 + d)))
+            kernel = blocks_kernel(measure, rho)
+            oracle._minimize_over_bases(rho, OptimizerConfig(restarts=4, seed=d), kernel)
+            assert len(calls) > 1
+            for r2, U, data in calls:
+                fresh = hessian(r2, U, oracle._value_and_gradient(r2, U, kernel)[2])
+                assert hessian(r2, U, data).tobytes() == fresh.tobytes()
+            calls.clear()
+
+    @pytest.mark.parametrize("measure", ["ce", "gd"])
+    def test_trial_rotations_are_at_most_pi(self, measure, monkeypatch):
+        # without the bound, 53% (ce) and 44% (gd) of these trials rotate by more than pi,
+        # where exp wraps around
+        norms = []
+
+        def recorded(X):
+            norms.extend(np.linalg.norm(X, axis=(1, 2)))
+            return expm(X)
+
+        expm = oracle._expm
+        monkeypatch.setattr(oracle, "_expm", recorded)
+        rho = build_pseudo_pure(PseudoPureParams(6, 0.3, random_schmidt_vector(6, 360)))
+        cfg = OptimizerConfig(restarts=8, seed=6)
+        oracle._minimize_over_bases(rho, cfg, blocks_kernel(measure, rho))
+        # t = pi / ||X||_F and the norm of t X each round once
+        slack = 4 * np.finfo(float).eps
+        assert max(norms) <= math.pi * (1 + slack)
+        assert max(norms) >= math.pi * (1 - slack)  # the bound acted on some step
+
+    def test_line_search_trials_per_step(self, monkeypatch):
+        # over the states of the every-restart gate: 4000 trials for 2466 Newton steps (1.62)
+        # when a step's first trial was the full step, 2849 for 2402 (1.19) with the bound at pi
+        rows = count_rows(monkeypatch)
+        starts = 0
+        for d in range(2, 9):
+            cfg, cases = closed_form_cases(d)
+            for p in cases:
+                rho = build_pseudo_pure(p)
+                for measure in ("ce", "gd"):
+                    oracle._minimize_over_bases(rho, cfg, blocks_kernel(measure, rho))
+                    starts += cfg.restarts
+        steps = sum(rows["_hessian"])
+        trials = sum(rows["_value_and_gradient"]) - starts
+        assert trials <= 1.4 * steps
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     def test_every_restart_reaches_closed_forms(self, d):
         # Haar starts only: no restart begins at the eigenbasis of the measured marginal
-        cfg = OptimizerConfig(restarts=8 if d <= 6 else 4, seed=d)
-        for i in range(2):
-            p = PseudoPureParams(d, 0.3 + 0.4 * i, random_schmidt_vector(d, 60 * d + i))
+        cfg, cases = closed_form_cases(d)
+        for p in cases:
             rho = build_pseudo_pure(p)
             offset = (von_neumann_entropy(partial_trace(rho.matrix, rho.dims, "A"))
                       - von_neumann_entropy(rho.matrix))
