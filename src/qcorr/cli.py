@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import sys
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -474,8 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses, built on its first call and not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)

@@ -26,9 +26,17 @@ each kernel's second derivative in its blocks; for the conditional entropy
 that is the Daleckii-Krein form, the divided differences of log2 on each
 block's eigensystem. It is built from the blocks, kernel data and gradient
 matrix that the evaluation of the accepted basis already computed, so it
-evaluates neither the blocks nor the kernel again. All restarts advance
-together, so every basis evaluation is one batched call over a stack of
-bases, and a restart's result does not depend on the others.
+evaluates neither the blocks nor the kernel again. A generator E_m moves
+only two columns of a basis U, each to a multiple of another:
+U E_m e_k = c u_o. So every term is read from one table of off-diagonal
+blocks tau_ok = <u_o|rho|u_k>, operators on A: the moved block is
+dtau_km = conj(c) tau_ok + h.c., the cross terms are
+conj(c_m) c_l tr(G_k tau_oo'), the basis term reads A at (o, o'), and the
+kernel term needs one rotation V_k^dagger tau_ok V_k per block, not one per
+generator; the Hessian is a fixed number of batched array operations.
+All restarts advance together, so every basis evaluation is one batched
+call over a stack of bases, and a restart's result does not depend on the
+others; their Haar starts come from one stacked QR.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .states import (
     PseudoPureParams,
     build_pseudo_pure,
     random_schmidt_vector,
-    random_unitary,
+    random_unitaries,
 )
 
 MAX_MEASURED_DIM = 8
@@ -227,17 +235,58 @@ def _skew(s: np.ndarray, d: int) -> np.ndarray:
 
 
 @functools.cache
-def _generators(d: int):
-    """The read-only (n, d, d) stack of the n = d(d-1) generators E_m, and per outcome k
-    the indices m of the 2(d-1) generators that move u_k = U e_k with their columns E_m e_k."""
-    E = _skew(np.eye(d * (d - 1)), d)
-    moving = []
-    for k in range(d):
-        m = np.flatnonzero(E[:, :, k].any(axis=1))
-        moving.append((m, E[m, :, k]))
-    for table in (E, *(x for pair in moving for x in pair)):
+def _generators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (d, 2(d-1)) table (m, o, c) of the generators that move each column.
+
+    Row k lists the generators m with E_m e_k != 0 and the column o and
+    coefficient c with E_m e_k = c e_o, so that U E_m e_k = c u_o: the real
+    generator of the pair i < j sends e_j to e_i and e_i to -e_j, the
+    imaginary one sends e_j to i e_i and e_i to i e_j. The first d - 1
+    entries of a row are the real generators, the others the imaginary ones,
+    each in increasing o.
+    """
+    half = d * (d - 1) // 2
+    i, j = _pairs(d)
+    pair = np.zeros((d, d), dtype=int)
+    pair[i, j] = pair[j, i] = np.arange(half)
+    k, o = np.nonzero(~np.eye(d, dtype=bool))
+    k, o = k.reshape(d, d - 1), o.reshape(d, d - 1)
+    m = np.concatenate([pair[k, o], half + pair[k, o]], axis=1)
+    c = np.concatenate([np.where(o < k, 1.0, -1.0) + 0j, np.full((d, d - 1), 1j)], axis=1)
+    o = np.concatenate([o, o], axis=1)
+    for table in (m, o, c):
         table.flags.writeable = False
-    return E, tuple(moving)
+    return m, o, c
+
+
+@functools.cache
+def _hessian_plan(d: int):
+    """Where _hessian places the entries 2 Re(conj(c) c' N1 + conj(c) conj(c') N2).
+
+    For outcome k and the entries (m, o, c), (l, o', c') of row k of
+    _generators, conj(c) conj(c') is +-conj(c) c' and conj(c) c' is one of
+    1, -1, i, -i, so the entry is a signed real or imaginary part of
+    (N1 + N2)[k, o, o'] or of (N1 - N2)[k, o, o']. Two generators on one pair
+    share both of its columns, so the entries come in two groups, by whether k
+    is the smaller or the larger column of m's pair, and no group adds to one
+    H_ml twice. Returns, per group, the flat indices into the n x n H, into
+    the real view of the (2, d, d, d) stack of N1 + N2 and N1 - N2, and the
+    factors.
+    """
+    m, o, c = _generators(d)
+    n = d * (d - 1)
+    k = np.arange(d)[:, None, None]
+    a = c.conj()[:, :, None] * c[:, None, :]
+    which = (c.conj()[:, :, None] * c.conj()[:, None, :] != a).astype(int)  # 0: N1 + N2, 1: N1 - N2
+    imaginary = (a.real == 0).astype(int)  # Re(i X) = -Im X
+    factor = 2.0 * np.where(imaginary, -a.imag, a.real)
+    src = (((which * d + k) * d + o[:, :, None]) * d + o[:, None, :]) * 2 + imaginary
+    dest = m[:, :, None] * n + m[:, None, :]
+    first = np.broadcast_to((o > np.arange(d)[:, None])[:, :, None], dest.shape)
+    plan = tuple((dest[g], src[g], factor[g]) for g in (first, ~first))
+    for table in (x for group in plan for x in group):
+        table.flags.writeable = False
+    return plan
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
@@ -270,41 +319,62 @@ def _value_and_gradient(r2: np.ndarray, U: np.ndarray, value_of_blocks):
     return value, g, (products, G, V, L, c, A)
 
 
-def _hessian(r2: np.ndarray, U: np.ndarray, data) -> np.ndarray:
+def _hessian(U: np.ndarray, data) -> np.ndarray:
     """Hessians H_ml = d/dt d/ds f(U exp(t E_m) exp(s E_l)) at 0, per basis of the stack U.
 
     `data` is the derivative data _value_and_gradient returned at U, so the
-    blocks and the kernel are not evaluated again. With u_k = U e_k,
-    P_km = U E_m e_k and T(x, y)[a,c] = sum_bd conj(x_b) rho[(a,b),(c,d)] y_d,
-    the blocks are tau_k = T(u_k, u_k) and move by dtau_km = T(P_km, u_k) + h.c.
-    H_ml is the sum of three terms: 2 Re tr((E_m E_l)^dagger A) from the
-    second derivative of the basis, 2 Re sum_k P_km^dagger Q_k P_kl with
-    Q_k[b,d] = sum G_k[c,a] rho[(a,b),(c,d)], and the kernel's second
-    derivative sum_k D^2 phi(tau_k)[dtau_km, dtau_kl]. Only the 2(d-1)
-    generators that move u_k enter the terms of outcome k.
+    blocks and the kernel are not evaluated again. With u_k = U e_k and
+    T(x, y)[a,c] = sum_bd conj(x_b) rho[(a,b),(c,d)] y_d, every term comes from
+    the table tau_ok = T(u_o, u_k) of off-diagonal blocks, one matmul of
+    U^dagger with `products`; the blocks of the measurement are tau_kk.
+    Generator m moves u_k to U E_m e_k = c u_o, with (m, o, c) an entry of row
+    k of _generators, so tau_kk moves by dtau_km = conj(c) tau_ok + h.c.,
+    whose trace is 2 Re(conj(c) tr tau_ok). H_ml sums over the outcomes k
+    that both m and l move, with (o, c) and (o', c') their entries in row k:
+    - 2 Re(conj(c) c' tr(G_k tau_oo')), the cross term of the two first-order
+      moves of u_k;
+    - 2 Re tr((E_m E_l)^dagger A), the second derivative of the basis; E_m
+      has two nonzero rows, and its terms are -2 Re(conj(c) c' A[o, o']);
+    - the kernel's second derivative, sum_ab L_k,ab (V_k^dagger dtau_km V_k)_ab
+      conj(V_k^dagger dtau_kl V_k)_ab + c_k tr dtau_km tr dtau_kl. With
+      Y_o = V_k^dagger tau_ok V_k (two matmuls per outcome over the stacked
+      blocks) and symmetric L, its first part is 2 Re(conj(c) c' G1[o, o'] +
+      conj(c) conj(c') G2[o, o']) for the L-weighted Gram matrices G1 of the
+      Y_o with their conjugates and G2 with their transposes, and its trace
+      part has the same form.
+    So every entry is 2 Re(conj(c) c' N1 + conj(c) conj(c') N2) for two
+    d x d matrices N1, N2 per outcome, and _hessian_plan places it.
     """
     products, G, V, L, c, A = data
     R, dB, dA = G.shape[:3]
     n = dB * (dB - 1)
-    E, moving = _generators(dB)
-    # tr((E_m E_l)^dagger A) = tr(E_l E_m A) = -sum conj(E_l) * (E_m A)
-    EA = (E.reshape(n * dB, dB) @ A).reshape(R, n, dB * dB)
-    hessian = -2.0 * (EA @ E.reshape(n, dB * dB).conj().T).real
-    Q = (G.swapaxes(-1, -2).reshape(R, dB, dA * dA) @ r2.reshape(dA * dA, dB * dB))
-    Q = Q.reshape(R, dB, dB, dB)
-    # one outcome at a time: no temporary holds every block's terms
-    for k, (m, columns) in enumerate(moving):
-        P = columns @ U.swapaxes(1, 2)  # rows P_km
-        half = (P.conj() @ products[..., k].swapaxes(1, 2)).reshape(R, m.size, dA, dA)
-        dtau = half + half.conj().swapaxes(-1, -2)
-        Vk = V[:, k, None]
-        rotated = (Vk.conj().swapaxes(-1, -2) @ dtau @ Vk).reshape(R, m.size, dA * dA)
-        traces = np.einsum("rmaa->rm", dtau).real
-        hessian[:, m[:, None], m] += (
-            2.0 * (P.conj() @ Q[:, k] @ P.swapaxes(1, 2)).real
-            + ((L[:, k].reshape(R, 1, -1) * rotated) @ rotated.conj().swapaxes(1, 2)).real
-            + c[:, k, None, None] * traces[:, :, None] * traces[:, None, :])
-    return hessian
+    # tau[r, k, o] = tau_ok, flattened over (a, c)
+    tau = U.conj().swapaxes(1, 2)[:, None] @ products.transpose(0, 3, 2, 1)
+    traces = np.einsum("rkoaa->rko", tau.reshape(R, dB, dB, dA, dA))
+    cross = G.swapaxes(-1, -2).reshape(R, dB, dA * dA) @ tau.reshape(R, dB * dB, dA * dA).swapaxes(1, 2)
+    cross = cross.reshape(R, dB, dB, dB).swapaxes(-1, -2) - A[:, None]  # [r, k, o, o']
+    # Yt[r, k, o] = Y_o^T; each table of the size of tau is freed once used, so that the
+    # Gram's operands (three such tables) set the peak memory
+    Yt = tau.reshape(R, dB, dB * dA, dA) @ V
+    del tau
+    Yt = np.ascontiguousarray(Yt.reshape(R, dB, dB, dA, dA).swapaxes(-1, -2))
+    Yt = (Yt.reshape(R, dB, dB * dA, dA) @ V.conj()).reshape(R, dB, dB, dA, dA)
+    weighted = (L[:, :, None] * Yt).reshape(R, dB, dB, dA * dA)
+    both = np.empty((R, dB, 2 * dB, dA, dA), dtype=complex)
+    np.conjugate(Yt, out=both[:, :, :dB])
+    both[:, :, dB:] = Yt.swapaxes(-1, -2)
+    del Yt
+    gram = weighted @ both.reshape(R, dB, 2 * dB, dA * dA).swapaxes(-1, -2)
+    del weighted, both
+    scaled = c[..., None, None] * traces[..., :, None]
+    N1 = cross + gram[..., :dB] + scaled * traces.conj()[..., None, :]
+    N2 = gram[..., dB:] + scaled * traces[..., None, :]
+    entries = np.stack([N1 + N2, N1 - N2], axis=1).view(float).reshape(R, -1)
+    hessian = np.zeros((R, n * n))
+    (dest, src, factor), (dest2, src2, factor2) = _hessian_plan(dB)
+    hessian[:, dest] = entries[:, src] * factor
+    hessian[:, dest2] += entries[:, src2] * factor2
+    return hessian.reshape(R, n, n)
 
 
 def _newton_descent(U: np.ndarray, value_and_gradient, hessian):
@@ -371,10 +441,9 @@ def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_bloc
             f"measured dimension {dB} exceeds the optimization envelope {MAX_MEASURED_DIM}"
         )
     r2 = _paired_b_indices(rho)
-    bases = np.array([random_unitary(dB, [cfg.seed, r]) for r in range(cfg.restarts)])
+    bases = random_unitaries(dB, [[cfg.seed, r] for r in range(cfg.restarts)])
     values, bases, evaluations, converged = _newton_descent(
-        bases, lambda U: _value_and_gradient(r2, U, value_of_blocks),
-        lambda U, data: _hessian(r2, U, data))
+        bases, lambda U: _value_and_gradient(r2, U, value_of_blocks), _hessian)
     best = int(np.argmin(values))
     return OptimizerResult(float(values[best]), bases[best], tuple(map(float, values)),
                            bool(converged[best]), tuple(map(int, evaluations)))

@@ -207,19 +207,27 @@ def isotropic_params(d: int, alpha: float) -> PseudoPureParams:
     return PseudoPureParams(d, alpha, np.full(d, 1.0 / np.sqrt(d)))
 
 
-def random_unitary(d: int, seed) -> np.ndarray:
-    """Seeded Haar-random d x d unitary; identical output for equal seeds.
+def random_unitaries(d: int, seeds) -> np.ndarray:
+    """Seeded Haar-random d x d unitaries, one per entry of `seeds`, as an (R, d, d) stack.
 
-    `seed` is anything np.random.default_rng accepts. The unitary is the Q
-    of a QR of a complex Ginibre matrix, with the R-diagonal phases folded
-    into its columns.
+    Each seed is anything np.random.default_rng accepts and draws its own
+    complex Ginibre matrix; one stacked QR turns them into the unitaries,
+    each the Q of its matrix with the R-diagonal phases folded into its
+    columns. Equal seeds give equal unitaries at any position in the stack.
     """
     d = _check_dimension(d)
-    rng = np.random.default_rng(seed)
-    Z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    Q, R = np.linalg.qr(Z)
-    diag = np.diag(R)
-    return Q * (diag / np.abs(diag))
+    Z = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        Z.append((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0))
+    Q, R = np.linalg.qr(np.array(Z))
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (diag / np.abs(diag))[..., None, :]
+
+
+def random_unitary(d: int, seed) -> np.ndarray:
+    """Seeded Haar-random d x d unitary: the one-element stack of random_unitaries."""
+    return random_unitaries(d, [seed])[0]
 
 
 def random_schmidt_vector(d: int, seed: int) -> np.ndarray:

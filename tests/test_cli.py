@@ -360,6 +360,38 @@ class TestConsoleScript:
         assert out_file.read_text().splitlines()[0] == "lambda,discord_d2"
 
 
+class TestParserReuse:
+    WERNER = ["compute", "--family", "werner", "--d", "2", "--lambda", "0.3", "--measures", "mi"]
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(None)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert run_cli(self.WERNER, capsys)[0] == 0
+            assert run_cli(self.WERNER, capsys)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_call_after_a_usage_error_parses_its_own_arguments(self, capsys):
+        failed = ["compute", "--family", "pp", "--d", "3", "--alpha", "0.5",
+                  "--measures", "discord", "--format", "json"]
+        code, out, err = run_cli(failed, capsys)
+        assert code == cli.EXIT_USAGE and out == "" and "family pp requires --schmidt" in err
+        code, out, _ = run_cli(self.WERNER, capsys)
+        assert code == 0
+        rows = parse_records(out)  # CSV, the default format, not the failed call's JSON
+        assert [(r["family"], r["d"], r["measure"]) for r in rows] == [("werner", 2, "mi")]
+        assert rows[0]["param_value"] == 0.3
+
+
 class TestExitCodes:
     def test_reader_that_closes_early_gets_exit_141(self):
         # 10^5 lambdas and five measures, 25 MB of rows: far more than a pipe holds, so

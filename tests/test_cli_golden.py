@@ -26,6 +26,13 @@ bounded to a rotation by at most pi and the Hessian's step came from a real
 instead of a complex eigensolve: the line search now visits other bases, so
 the printed values moved by at most 2.7e-15 and stay within 4.7e-15 of the
 closed forms, with the same digests on one thread and on the default count.
+They were re-recorded a fourth time when the Hessian came to be built from
+the table of off-diagonal blocks <u_j|rho|u_k> instead of a loop over
+outcomes: the Hessian moved in its last bits (within 4e-15 of the loop's on
+unit-trace states), so the line search visits other bases; the printed values
+moved by at most 2.7e-15 and stay within 4.3e-15 of the closed forms, again
+with the same digests on one thread and on the default count, which CI checks.
+No closed-form digest moved.
 """
 
 import hashlib
@@ -82,30 +89,33 @@ GOLDEN = {
         "c4903a9d47f095ec05edd6cd808876c4fce93e76a357d08ce58ca25f1f786108"),
     # Newton basis search: discord, cc and gd moved by at most 1.6e-15; analytic Hessian:
     # gd moved by 8.0e-16, discord and cc by 4.4e-16, each within 1.6e-15 of its closed form;
-    # step bound at pi: gd moved by 1.9e-15 to within 2.5e-15 of its closed form
+    # step bound at pi: gd moved by 1.9e-15 to within 2.5e-15 of its closed form; Hessian from
+    # the table of off-diagonal blocks: discord and cc moved by 2.7e-15, gd by 1.4e-15, each
+    # within 4.3e-15 of its closed form
     "compute-pp-numeric-json": (
         ["compute", "--family", "pp", "--d", "3", "--alpha", "0.6", "--schmidt", "0.8,0.6,0",
          "--measures", PP_MEASURES, "--numeric", "--restarts", "4", "--seed", "1",
          "--format", "json"],
-        "032076cb88ab29f4b8677bcea6b109290a78c8644484c08c4cabdfe9c1f66b74"),
+        "cc9be5aec006a0f2dff071eaaf3cbc4626b8fc3dba2e711621fdfa07e89853f3"),
     # Newton basis search: every restart now converges; discord and gd moved by at most 6.7e-15;
     # analytic Hessian: discord moved by 4.2e-15, gd by 5.6e-16, both within 3.1e-15 of the
     # closed forms; step bound at pi: discord moved by 1.6e-15, gd by 2.7e-15, both within
-    # 4.7e-15 of the closed forms
+    # 4.7e-15 of the closed forms; Hessian from the table of off-diagonal blocks: discord moved
+    # by 2.7e-15, gd by 6.7e-16, both within 2.0e-15 of the closed forms
     "compute-pp-numeric-budget": (
         ["compute", "--family", "pp", "--d", "4", "--alpha", "0.6", "--schmidt", "0.7,0.5,0.4,0.3",
          "--normalize", "--measures", "discord,gd", "--numeric", "--restarts", "3", "--seed", "1",
          "--format", "json"],
-        "d908adbc5c04c4e5df460f8b4ec01cffa7934e37b92fd209fcc23a88c440dcf6"),
+        "5e67f14a620f0ff2f880dbbf32a3886f876f9ea397d26b1360cf5dc31bfb9ff2"),
     "oracle-compare-isotropic-negativity": (
         ["oracle-compare", "--family", "isotropic", "--d", "3", "--measure", "negativity",
          "--start", "0", "--stop", "1", "--step", "0.1"],
         "87fb021dd3a12062a815123f0391991bab121deede92cefc17efb12ea4176f2e"),
     # Newton basis search: max_gd_gap went from 8.5e-16 to 1.0e-15; analytic Hessian: to 1.8e-15;
-    # step bound at pi: to 6.0e-16
+    # step bound at pi: to 6.0e-16; Hessian from the table of off-diagonal blocks: to 1.9e-15
     "conjecture": (
         ["conjecture", "--samples", "40", "--dmax", "4"],
-        "8f31929c4699c3b75eab561dc327d8d678f949ae212e88ef851381c43a9a0fb9"),
+        "3e6ad4860559c192807fcfe4d076943f065873dae7cb7dfbd12b22384b665725"),
 }
 
 

@@ -2,11 +2,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_density
 from qcorr import closed_forms as cf
@@ -35,6 +36,7 @@ from qcorr.states import (
     build_werner,
     isotropic_params,
     random_schmidt_vector,
+    random_unitaries,
     random_unitary,
     schmidt_state_vector,
 )
@@ -197,7 +199,37 @@ def blocks_kernel(measure, rho):
 def descend(r2, start, kernel):
     """One Newton descent from the stack of bases `start`, as _minimize_over_bases runs it."""
     return oracle._newton_descent(start, lambda U: oracle._value_and_gradient(r2, U, kernel),
-                                  lambda U, data: oracle._hessian(r2, U, data))
+                                  oracle._hessian)
+
+
+def per_outcome_hessian(r2, U, data):
+    """The Hessian as a loop over outcomes k with the per-generator moves P_km = U E_m e_k:
+    2 Re tr((E_m E_l)^dagger A) from the dense generator stack, plus, for the 2(d-1)
+    generators that move u_k, 2 Re P_km^dagger Q_k P_kl with Q_k[b,d] = sum G_k[c,a]
+    rho[(a,b),(c,d)] and the kernel's second derivative in dtau_km = T(P_km, u_k) + h.c.
+    It is the reference for _hessian, which builds the same terms from the table of
+    off-diagonal blocks."""
+    products, G, V, L, c, A = data
+    R, dB, dA = G.shape[:3]
+    n = dB * (dB - 1)
+    E = oracle._skew(np.eye(n), dB)
+    EA = (E.reshape(n * dB, dB) @ A).reshape(R, n, dB * dB)
+    hessian = -2.0 * (EA @ E.reshape(n, dB * dB).conj().T).real
+    Q = (G.swapaxes(-1, -2).reshape(R, dB, dA * dA) @ r2.reshape(dA * dA, dB * dB))
+    Q = Q.reshape(R, dB, dB, dB)
+    for k in range(dB):
+        m = np.flatnonzero(E[:, :, k].any(axis=1))
+        P = E[m, :, k] @ U.swapaxes(1, 2)  # rows P_km
+        half = (P.conj() @ products[..., k].swapaxes(1, 2)).reshape(R, m.size, dA, dA)
+        dtau = half + half.conj().swapaxes(-1, -2)
+        Vk = V[:, k, None]
+        rotated = (Vk.conj().swapaxes(-1, -2) @ dtau @ Vk).reshape(R, m.size, dA * dA)
+        traces = np.einsum("rmaa->rm", dtau).real
+        hessian[:, m[:, None], m] += (
+            2.0 * (P.conj() @ Q[:, k] @ P.swapaxes(1, 2)).real
+            + ((L[:, k].reshape(R, 1, -1) * rotated) @ rotated.conj().swapaxes(1, 2)).real
+            + c[:, k, None, None] * traces[:, :, None] * traces[:, None, :])
+    return hessian
 
 
 def closed_form_cases(d):
@@ -211,9 +243,9 @@ def count_rows(monkeypatch):
     """Record the number of bases of every gradient call and every Hessian call."""
     rows = {"_value_and_gradient": [], "_hessian": []}
     for name, calls in rows.items():
-        def counted(r2, U, arg, evaluate=getattr(oracle, name), calls=calls):
-            calls.append(len(U))
-            return evaluate(r2, U, arg)
+        def counted(*args, evaluate=getattr(oracle, name), calls=calls):
+            calls.append(len(args[-2]))  # the stack of bases U
+            return evaluate(*args)
 
         monkeypatch.setattr(oracle, name, counted)
     return rows
@@ -340,7 +372,7 @@ class TestNewtonDescent:
             kernel = blocks_kernel(measure, rho)
             r2 = oracle._paired_b_indices(rho)
             U = np.array(bases)
-            hessian = oracle._hessian(r2, U, oracle._value_and_gradient(r2, U, kernel)[2])
+            hessian = oracle._hessian(U, oracle._value_and_gradient(r2, U, kernel)[2])
             assert hessian.shape == (len(bases), n, n)
             if rho is werner:
                 assert np.abs(hessian).max() <= 1e-13
@@ -360,25 +392,66 @@ class TestNewtonDescent:
         assert np.abs(E @ E.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
 
     def test_cached_generators_equal_skew_of_identity(self):
+        # row k of the table lists every generator m that moves u_k, with U E_m e_k = c u_o
         for d in range(2, oracle.MAX_MEASURED_DIM + 1):
             n = d * (d - 1)
-            E, moving = oracle._generators(d)
-            expected = oracle._skew(np.eye(n), d)
-            assert E.dtype == expected.dtype and E.shape == expected.shape
-            assert E.tobytes() == expected.tobytes()
-            assert not E.flags.writeable  # one table serves every caller
-            for k, (m, columns) in enumerate(moving):
-                assert m.tolist() == np.flatnonzero(np.abs(expected[:, :, k]).sum(axis=1)).tolist()
-                assert m.size == 2 * (d - 1) and columns.tobytes() == expected[m, :, k].tobytes()
+            E = oracle._skew(np.eye(n), d)
+            U = random_unitary(d, d)
+            m, o, c = oracle._generators(d)
+            assert m.shape == o.shape == c.shape == (d, 2 * (d - 1))
+            assert not (m.flags.writeable or o.flags.writeable or c.flags.writeable)
+            for k in range(d):
+                assert sorted(m[k]) == np.flatnonzero(np.abs(E[:, :, k]).sum(axis=1)).tolist()
+                for x in range(2 * (d - 1)):
+                    assert o[k, x] != k and c[k, x] in (1, -1, 1j)
+                    assert_array_equal(U @ E[m[k, x]][:, k], c[k, x] * U[:, o[k, x]])
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("measure", ["ce", "gd"])
+    def test_hessian_equals_per_outcome_reference(self, d, measure, rng):
+        generic = DensityMatrix(random_density(d * d, rng), (d, d))
+        pseudo_pure = build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, 30 + d)))
+        # in the standard basis the outcomes 1.. of sigma (x) |0><0| drop: the kernel data
+        # carry L = 0 and c = 0 for them, and both routes leave their terms out
+        product = DensityMatrix(np.kron(random_density(d, rng), np.diag(np.eye(d)[0])), (d, d))
+        haar = random_unitaries(d, [[d, r] for r in range(4)])
+        cases = [(generic, haar), (pseudo_pure, haar), (product, haar),
+                 (product, np.eye(d, dtype=complex)[None])]
+        for rho, U in cases:
+            r2 = oracle._paired_b_indices(rho)
+            data = oracle._value_and_gradient(r2, U, blocks_kernel(measure, rho))[2]
+            expected = per_outcome_hessian(r2, U, data)
+            # the terms are O(1) for a unit-trace state; they cancel to ~1e-3 on flat landscapes
+            # (pseudo-pure at d = 2) and to 0 where every basis gives one value (the product state's
+            # conditional entropy), so the bound is relative to max(1, |H|)
+            scale = max(1.0, np.abs(expected).max())
+            assert np.abs(oracle._hessian(U, data) - expected).max() <= 1e-13 * scale
+
+    def test_hessian_memory(self):
+        # the table of off-diagonal blocks and the rotated blocks are each R d^2 dA^2 complex
+        # numbers (2 MiB here); building every generator's moved blocks at once took 25 MiB
+        d, restarts = 8, 32
+        rho = build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, d)))
+        r2 = oracle._paired_b_indices(rho)
+        U = random_unitaries(d, [[d, r] for r in range(restarts)])
+        data = oracle._value_and_gradient(r2, U, oracle._ce_of_blocks)[2]
+        oracle._hessian(U, data)  # the cached tables of d are built outside the trace
+        tracemalloc.start()
+        try:
+            oracle._hessian(U, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     @pytest.mark.parametrize("measure", ["ce", "gd"])
     def test_hessian_of_reused_data_equals_fresh_evaluation(self, measure, monkeypatch):
         # every Hessian of a search takes the data of the trial that was accepted at its basis
         calls = []
 
-        def recorded(r2, U, data):
-            calls.append((r2, U.copy(), [x.copy() for x in data]))
-            return hessian(r2, U, data)
+        def recorded(U, data):
+            calls.append((U.copy(), [x.copy() for x in data]))
+            return hessian(U, data)
 
         hessian = oracle._hessian
         monkeypatch.setattr(oracle, "_hessian", recorded)
@@ -387,9 +460,10 @@ class TestNewtonDescent:
             kernel = blocks_kernel(measure, rho)
             oracle._minimize_over_bases(rho, OptimizerConfig(restarts=4, seed=d), kernel)
             assert len(calls) > 1
-            for r2, U, data in calls:
-                fresh = hessian(r2, U, oracle._value_and_gradient(r2, U, kernel)[2])
-                assert hessian(r2, U, data).tobytes() == fresh.tobytes()
+            r2 = oracle._paired_b_indices(rho)
+            for U, data in calls:
+                fresh = hessian(U, oracle._value_and_gradient(r2, U, kernel)[2])
+                assert hessian(U, data).tobytes() == fresh.tobytes()
             calls.clear()
 
     @pytest.mark.parametrize("measure", ["ce", "gd"])

@@ -15,6 +15,7 @@ from qcorr.states import (
     flip_operator,
     normalized_schmidt,
     random_schmidt_vector,
+    random_unitaries,
     random_unitary,
     schmidt_state_vector,
     symmetric_antisymmetric_projectors,
@@ -168,6 +169,22 @@ class TestRandomUnitary:
 
     def test_deterministic(self):
         assert np.array_equal(random_unitary(4, 8), random_unitary(4, 8))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stack_has_the_bits_of_single_draws(self, d):
+        def single(seed):  # one Ginibre draw and one QR per seed, as before the stacked QR
+            rng = np.random.default_rng(seed)
+            Z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+            Q, R = np.linalg.qr(Z)
+            diag = np.diag(R)
+            return Q * (diag / np.abs(diag))
+
+        for restarts in (1, 4, 8, 32):
+            stack = random_unitaries(d, [[d, r] for r in range(restarts)])
+            assert stack.shape == (restarts, d, d)
+            for r in range(restarts):
+                expected = single([d, r]).tobytes()
+                assert stack[r].tobytes() == random_unitary(d, [d, r]).tobytes() == expected
 
 
 class TestHelpers:
