@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import closed_forms as cf
-from . import oracle
+from . import linalg, oracle
 from .states import (
     PseudoPureParams,
     WernerParams,
@@ -85,6 +85,7 @@ class Measure(NamedTuple):
     pp: Callable[[PseudoPureParams], float] | None
     oracle: Callable[[OraclePoint], float] | None
     tolerance: float = 1e-6  # largest closed-vs-oracle gap oracle-compare accepts
+    optimizes: bool = False  # the oracle route minimizes over measurement bases
 
 
 MEASURES = {
@@ -92,18 +93,21 @@ MEASURES = {
         lambda p: cf.werner_discord(p.d, p.lam),
         lambda p: cf.pp_discord(p),
         lambda pt: pt.discord,
+        optimizes=True,
     ),
     "cc": Measure(
         lambda p: cf.werner_classical_correlations(p.d, p.lam),
         lambda p: cf.pp_classical_correlations(p),
         lambda pt: pt.mi - pt.discord,
+        optimizes=True,
     ),
     "mi": Measure(
         lambda p: cf.werner_mutual_information(p.d, p.lam),
         lambda p: cf.pp_mutual_information(p),
         lambda pt: pt.mi,
     ),
-    "gd": Measure(None, lambda p: cf.pp_gd(p), lambda pt: oracle.gd_numeric(pt.rho, pt.cfg)),
+    "gd": Measure(None, lambda p: cf.pp_gd(p), lambda pt: oracle.gd_numeric(pt.rho, pt.cfg),
+                  optimizes=True),
     "negativity": Measure(
         None, lambda p: cf.pp_negativity(p), lambda pt: oracle.negativity_numeric(pt.rho),
         tolerance=1e-9,
@@ -197,6 +201,15 @@ def _check_measures(family: str, measures: list[str]) -> None:
                          f"for family {family!r}")
 
 
+def _check_envelope(d: int, measures: list[str]) -> None:
+    """Raise the error the oracle raises for `measures` at dimension d, before
+    any state is built: every state is a dense d^2 x d^2 matrix, and a measure
+    that optimizes searches bases of a d-dimensional side."""
+    linalg.check_side(d * d, "state")
+    if any(MEASURES[m].optimizes for m in measures):
+        oracle.check_measured_dimension(d)
+
+
 def _param_name(family: str) -> str:
     return "lambda" if family == "werner" else "alpha"
 
@@ -272,6 +285,8 @@ def cmd_compute(parser, args) -> int:
     family, value = args.family, _param_value(args)
     _check_measures(family, args.measures)
     params = _params(family, args.d, value, _schmidt_vector(args))
+    if args.numeric:
+        _check_envelope(args.d, args.measures)
     results = {"closed": [(m, _closed_fn(family, m)(params)) for m in args.measures]}
     if args.numeric:
         cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
@@ -379,6 +394,7 @@ def cmd_oracle_compare(parser, args) -> int:
     cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
     grid = _grid(args.start, args.stop, args.step)
     _params(family, args.d, grid, u)  # every grid value, before the first point
+    _check_envelope(args.d, [measure])
     lines = ["family,d,measure,param_name,param_value,closed,numeric,abs_gap"]
     max_gap = 0.0
     for value in grid.tolist():

@@ -38,11 +38,14 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
     A = _as_matrix(M, name)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if A.shape[0] > MAX_MATRIX_SIDE:
-        raise ValueError(
-            f"{name} side {A.shape[0]} exceeds the dense envelope {MAX_MATRIX_SIDE}"
-        )
+    check_side(A.shape[0], name)
     return A
+
+
+def check_side(side: int, name: str = "matrix") -> None:
+    """Raise ValueError if a square matrix of this side lies outside the dense envelope."""
+    if side > MAX_MATRIX_SIDE:
+        raise ValueError(f"{name} side {side} exceeds the dense envelope {MAX_MATRIX_SIDE}")
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:

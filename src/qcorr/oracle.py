@@ -34,9 +34,10 @@ dtau_km = conj(c) tau_ok + h.c., the cross terms are
 conj(c_m) c_l tr(G_k tau_oo'), the basis term reads A at (o, o'), and the
 kernel term needs one rotation V_k^dagger tau_ok V_k per block, not one per
 generator; the Hessian is a fixed number of batched array operations.
-All restarts advance together, so every basis evaluation is one batched
-call over a stack of bases, and a restart's result does not depend on the
-others; their Haar starts come from one stacked QR.
+The restarts' Haar starts come from one stacked QR, and the search runs in
+rounds: each evaluates every restart's pending trial in one batched call
+over a stack of bases, and a restart's result does not depend on the rows
+it shares a call with.
 """
 
 from __future__ import annotations
@@ -377,73 +378,73 @@ def _hessian(U: np.ndarray, data) -> np.ndarray:
     return hessian.reshape(R, n, n)
 
 
-def _newton_descent(U: np.ndarray, value_and_gradient, hessian):
+def _newton_descent(U: np.ndarray, r2: np.ndarray, value_of_blocks):
     """Saddle-free Newton descent on U(d) from each basis of the stack U.
 
-    `value_and_gradient` maps a stack of bases to their values, their
-    gradients along the generators and a tuple of per-basis derivative data;
-    `hessian` maps a stack of bases and that data to their Hessians. Every
-    restart takes the step -V |Lambda|^-1 V^T g from the eigensystem of its
-    symmetrised Hessian, first tries it scaled by t = min(1, _MAX_ROTATION /
-    ||X||_F) for X = _skew(step), and halves t until the value decreases. The
-    data of each restart's accepted basis is kept for its next Hessian. A
-    restart stops when its gradient or its accepted step is within
-    _STEP_TOLERANCE, when no decrease is found, or after _MAX_ITERATIONS
-    steps. Returns the final values and bases, the basis evaluations per
-    restart (the start, one Hessian per step and the line-search trials), and
-    whether each restart stopped in fewer than _MAX_ITERATIONS steps.
+    r2 comes from _paired_b_indices and `value_of_blocks` is the kernel
+    _value_and_gradient takes. Every restart takes the step -V |Lambda|^-1 V^T g
+    from the eigensystem of its symmetrised Hessian, first tries it scaled by
+    t = min(1, _MAX_ROTATION / ||X||_F) for X = _skew(step), and halves t until
+    the value decreases. It stops when its gradient or its accepted step is
+    within _STEP_TOLERANCE, when no decrease is found, or after _MAX_ITERATIONS
+    steps. The search runs in rounds of one batched evaluation of every
+    pending trial: a restart whose trial lowered its value moves there and, if
+    it goes on, takes its next step from the gradient and the Hessian of that
+    evaluation's data in the next round; one whose trial failed tries again
+    with t halved. So no derivative data outlives its round. Returns the final
+    values and bases, the basis evaluations per restart (the start, one Hessian
+    per step and the line-search trials), and whether each restart stopped in
+    fewer than _MAX_ITERATIONS steps.
     """
     U = np.array(U, dtype=complex)
     R, d = U.shape[:2]
-    n = d * (d - 1)
-    value, g, data = value_and_gradient(U)
-    data = [np.array(x) for x in data]  # writable copies, also of broadcast views
+    value, g, data = _value_and_gradient(r2, U, value_of_blocks)
     evaluations, steps = np.ones(R, dtype=int), np.zeros(R, dtype=int)
-    active = np.abs(g).max(axis=1) > _STEP_TOLERANCE
-    step, t = np.zeros((R, n)), np.zeros(R)
-    while active.any():
-        a = np.flatnonzero(active)
-        H = hessian(U[a], [x[a] for x in data])
-        evaluations[a] += 1
-        steps[a] += 1
-        lam, V = np.linalg.eigh((H + H.swapaxes(1, 2)) / 2.0)
-        curvature = np.abs(lam)
-        curvature = np.maximum(curvature, _CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True))
-        projected = V.swapaxes(1, 2) @ g[a, :, None]
-        step[a] = -(V @ (projected / curvature[..., None]))[..., 0]
-        norms = np.linalg.norm(_skew(step[a], d), axis=(1, 2))
-        t[a] = _MAX_ROTATION / np.maximum(norms, _MAX_ROTATION)
-        pending = a
-        while pending.size:
-            trial = U[pending] @ _expm(_skew(t[pending, None] * step[pending], d))
-            trial_value, trial_g, trial_data = value_and_gradient(trial)
-            evaluations[pending] += 1
-            better = trial_value < value[pending]
-            small = t[pending] * np.abs(step[pending]).max(axis=1) <= _STEP_TOLERANCE
-            accepted = pending[better]
-            U[accepted], value[accepted] = trial[better], trial_value[better]
-            g[accepted] = trial_g[better]
-            for stored, computed in zip(data, trial_data):
-                stored[accepted] = computed[better]
-            active[pending[small]] = False
-            active[accepted[np.abs(trial_g[better]).max(axis=1) <= _STEP_TOLERANCE]] = False
-            pending = pending[~better & ~small]
-            t[pending] /= 2.0
-        active &= steps < _MAX_ITERATIONS
+    step, t = np.zeros((R, d * (d - 1))), np.zeros(R)
+    rows, go = np.arange(R), np.abs(g).max(axis=1) > _STEP_TOLERANCE
+    failed = np.zeros(0, dtype=int)
+    while go.any() or failed.size:
+        a = rows[go]  # the restarts that step from the last evaluation
+        if a.size:
+            H = _hessian(U[a], [x[go] for x in data])
+            evaluations[a] += 1
+            steps[a] += 1
+            lam, V = np.linalg.eigh((H + H.swapaxes(1, 2)) / 2.0)
+            curvature = np.abs(lam)
+            curvature = np.maximum(curvature, _CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True))
+            projected = V.swapaxes(1, 2) @ g[go, :, None]
+            step[a] = -(V @ (projected / curvature[..., None]))[..., 0]
+            norms = np.linalg.norm(_skew(step[a], d), axis=(1, 2))
+            t[a] = _MAX_ROTATION / np.maximum(norms, _MAX_ROTATION)
+        rows = np.concatenate([failed, a])
+        trial = U[rows] @ _expm(_skew(t[rows, None] * step[rows], d))
+        trial_value, g, data = _value_and_gradient(r2, trial, value_of_blocks)
+        evaluations[rows] += 1
+        better = trial_value < value[rows]
+        small = t[rows] * np.abs(step[rows]).max(axis=1) <= _STEP_TOLERANCE
+        U[rows[better]], value[rows[better]] = trial[better], trial_value[better]
+        go = better & ~small & (np.abs(g).max(axis=1) > _STEP_TOLERANCE) & (steps[rows] < _MAX_ITERATIONS)
+        failed = rows[~better & ~small]
+        t[failed] /= 2.0
     return value, U, evaluations, steps < _MAX_ITERATIONS
+
+
+def check_measured_dimension(dB: int) -> None:
+    """Raise ValueError if a basis search over a measured side of dimension dB
+    lies outside the optimization envelope."""
+    if dB > MAX_MEASURED_DIM:
+        raise ValueError(
+            f"measured dimension {dB} exceeds the optimization envelope {MAX_MEASURED_DIM}"
+        )
 
 
 def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_blocks) -> OptimizerResult:
     """Multi-start Newton descent of a blocks functional over projective bases."""
     dB = rho.dims[1]
-    if dB > MAX_MEASURED_DIM:
-        raise ValueError(
-            f"measured dimension {dB} exceeds the optimization envelope {MAX_MEASURED_DIM}"
-        )
-    r2 = _paired_b_indices(rho)
+    check_measured_dimension(dB)
     bases = random_unitaries(dB, [[cfg.seed, r] for r in range(cfg.restarts)])
     values, bases, evaluations, converged = _newton_descent(
-        bases, lambda U: _value_and_gradient(r2, U, value_of_blocks), _hessian)
+        bases, _paired_b_indices(rho), value_of_blocks)
     best = int(np.argmin(values))
     return OptimizerResult(float(values[best]), bases[best], tuple(map(float, values)),
                            bool(converged[best]), tuple(map(int, evaluations)))

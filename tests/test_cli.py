@@ -341,6 +341,43 @@ class TestOracleCompare:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("args, message", [
+        (["compute", "--family", "werner", "--d", "50", "--lambda", "0.3",
+          "--measures", "mi,discord", "--numeric"],
+         "measured dimension 50 exceeds the optimization envelope 8"),
+        (["compute", "--family", "isotropic", "--d", "50", "--alpha", "0.3",
+          "--measures", "negativity,gd", "--numeric"],
+         "measured dimension 50 exceeds the optimization envelope 8"),
+        (["oracle-compare", "--family", "pp", "--d", "50", "--normalize",
+          "--schmidt", ",".join(["1"] * 50), "--measure", "cc",
+          "--start", "0.5", "--stop", "0.5", "--step", "0.1"],
+         "measured dimension 50 exceeds the optimization envelope 8"),
+        (["compute", "--family", "werner", "--d", "65", "--lambda", "0.3",
+          "--measures", "mi", "--numeric"],
+         "state side 4225 exceeds the dense envelope 4096"),
+        (["oracle-compare", "--family", "isotropic", "--d", "65", "--measure", "negativity",
+          "--start", "0.5", "--stop", "0.5", "--step", "0.1"],
+         "state side 4225 exceeds the dense envelope 4096"),
+    ])
+    def test_envelope_is_checked_before_any_state_is_built(self, args, message, capsys,
+                                                          monkeypatch):
+        # building a state at d = 50 took 9.9 s and 507 MB before the oracle refused it
+        def refuse(params):
+            raise AssertionError("state built")
+
+        monkeypatch.setattr(cli, "build_werner", refuse)
+        monkeypatch.setattr(cli, "build_pseudo_pure", refuse)
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (3, "", f"qcorr: {message}\n")
+
+    def test_mutual_information_is_numeric_beyond_the_optimization_envelope(self, capsys):
+        code, out, _ = run_cli(["compute", "--family", "isotropic", "--d", "9", "--alpha", "0.3",
+                                "--measures", "mi", "--numeric"], capsys)
+        assert code == 0
+        closed, numeric = parse_records(out)
+        assert numeric["method"] == "numeric"
+        assert numeric["value"] == pytest.approx(closed["value"], abs=1e-9)
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):

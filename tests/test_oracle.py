@@ -198,8 +198,7 @@ def blocks_kernel(measure, rho):
 
 def descend(r2, start, kernel):
     """One Newton descent from the stack of bases `start`, as _minimize_over_bases runs it."""
-    return oracle._newton_descent(start, lambda U: oracle._value_and_gradient(r2, U, kernel),
-                                  oracle._hessian)
+    return oracle._newton_descent(start, r2, kernel)
 
 
 def per_outcome_hessian(r2, U, data):
@@ -275,6 +274,35 @@ class TestLockstep:
         assert res.evaluations == tuple(counts)
         assert np.array(res.per_restart_values).tobytes() == np.array(values).tobytes()
         assert res.argmin_basis.tobytes() == bases[int(np.argmin(values))].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("measure", ["ce", "gd"])
+    def test_start_at_a_critical_point_next_to_descending_restarts(self, d, measure):
+        # the gradient is exactly 0 in the Schmidt basis of a pseudo-pure state, so that
+        # restart never steps, while the Haar restarts of its stack descend
+        rho = build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, 40 + d)))
+        kernel = blocks_kernel(measure, rho)
+        r2 = oracle._paired_b_indices(rho)
+        eye = np.eye(d, dtype=complex)
+        start = np.concatenate([eye[None], random_unitaries(d, [[d, r] for r in range(3)])])
+        values, bases, evaluations, converged = descend(r2, start, kernel)
+        objective = measured_conditional_entropy if measure == "ce" else gd_objective
+        assert evaluations[0] == 1 and converged[0]
+        assert values[0] == objective(rho, eye)
+        assert bases[0].tobytes() == eye.tobytes()
+        for r in range(1, len(start)):
+            value, basis, count, done = descend(r2, start[r:r + 1], kernel)
+            assert evaluations[r] == count[0] > 1 and converged[r] == done[0]
+            assert values[r] == value[0] and bases[r].tobytes() == basis[0].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("measure", ["ce", "gd"])
+    def test_werner_restarts_evaluate_once(self, d, measure):
+        # every basis gives a Werner state one value: its gradient reads at most 2e-16 in
+        # Haar bases, far below _STEP_TOLERANCE, so every restart stops at its start
+        rho = build_werner(WernerParams(d, 0.3))
+        res = oracle._minimize_over_bases(rho, FAST, blocks_kernel(measure, rho))
+        assert res.evaluations == (1,) * FAST.restarts and res.converged
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batched_objectives_match_single_basis(self, d, rng):
