@@ -16,6 +16,7 @@ the reader of stdout closes it early.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import math
@@ -288,11 +289,11 @@ def cmd_compute(parser, args) -> int:
     if args.numeric:
         _check_envelope(args.d, args.measures)
     results = {"closed": [(m, _closed_fn(family, m)(params)) for m in args.measures]}
-    if args.numeric:
+    numeric = [m for m in args.measures if args.numeric and MEASURES[m].oracle is not None]
+    if numeric:  # a state is built only for a measure with an oracle route
         cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
         point = OraclePoint(_state(family, params), cfg)
-        results["numeric"] = [(m, MEASURES[m].oracle(point))
-                              for m in args.measures if MEASURES[m].oracle is not None]
+        results["numeric"] = [(m, MEASURES[m].oracle(point)) for m in numeric]
     if args.format == "json":
         head = (family, args.d, _param_name(family), value)
         payload = [dict(zip(CSV_HEADER.split(","), (*head, m, result, method)))
@@ -366,20 +367,8 @@ def cmd_figure(parser, args) -> int:
 def cmd_conjecture(parser, args) -> int:
     _check_out(args.out)
     report = oracle.conjecture_sweep(args.samples, (args.dmin, args.dmax), args.seed)
-    payload = {
-        "samples": report.samples,
-        "min_gap": report.min_gap,
-        "violations": report.violations,
-        "worst_case": {
-            "d": report.worst_case.d,
-            "alpha": report.worst_case.alpha,
-            "schmidt": [float(x) for x in report.worst_case.schmidt],
-        },
-        "checked": report.checked,
-        "max_gd_gap": report.max_gd_gap,
-        "max_negativity_gap": report.max_negativity_gap,
-    }
-    _write([json.dumps(payload, indent=2) + "\n"], args.out)
+    payload = json.dumps(dataclasses.asdict(report), indent=2, default=np.ndarray.tolist)
+    _write([payload + "\n"], args.out)
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 

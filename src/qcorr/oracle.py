@@ -51,7 +51,6 @@ import numpy as np
 from . import closed_forms
 from .linalg import (
     EVAL_ZERO_CUTOFF,
-    commutator_norm,
     hermitian_eigensystem,
     partial_trace,
     partial_transpose,
@@ -195,17 +194,13 @@ def _purity_loss(rho_purity: float, tau: np.ndarray):
 
 def conditional_ensemble(rho: DensityMatrix, basis) -> ConditionalEnsemble:
     """Measure side B of `rho` in `basis` (columns are the basis vectors)."""
-    dA, dB = rho.dims
+    dA = rho.dims[0]
     tau = _blocks(rho, basis)[0]
-    probs = np.einsum("kaa->k", tau).real.copy()
-    states = []
-    for k in range(dB):
-        if probs[k] > ZERO_PROBABILITY:
-            block = tau[k] / probs[k]
-            states.append((block + block.conj().T) / 2.0)
-        else:
-            states.append(np.eye(dA, dtype=complex) / dA)
-    return ConditionalEnsemble(probs, tuple(states))
+    p = np.einsum("kaa->k", tau).real
+    kept = (p > ZERO_PROBABILITY)[:, None, None]
+    blocks = tau / np.where(kept, p[:, None, None], 1.0)
+    states = np.where(kept, (blocks + blocks.conj().swapaxes(1, 2)) / 2.0, np.eye(dA) / dA)
+    return ConditionalEnsemble(p, tuple(states))
 
 
 def measured_conditional_entropy(rho: DensityMatrix, basis) -> float:
@@ -236,54 +231,38 @@ def _skew(s: np.ndarray, d: int) -> np.ndarray:
 
 
 @functools.cache
-def _generators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only (d, 2(d-1)) table (m, o, c) of the generators that move each column.
+def _hessian_plan(d: int):
+    """Where _hessian places the entries 2 Re(conj(c) c' N1 + conj(c) conj(c') N2).
 
-    Row k lists the generators m with E_m e_k != 0 and the column o and
-    coefficient c with E_m e_k = c e_o, so that U E_m e_k = c u_o: the real
-    generator of the pair i < j sends e_j to e_i and e_i to -e_j, the
-    imaginary one sends e_j to i e_i and e_i to i e_j. The first d - 1
-    entries of a row are the real generators, the others the imaginary ones,
-    each in increasing o.
+    Row k of the (d, 2(d-1)) table (m, o, c) lists the generators m with
+    E_m e_k != 0 and the column o and coefficient c with E_m e_k = c e_o, so
+    that U E_m e_k = c u_o: the real generator of the pair i < j sends e_j to
+    e_i and e_i to -e_j, the imaginary one sends e_j to i e_i and e_i to i e_j.
+    For outcome k and the entries (m, o, c), (l, o', c') of row k,
+    conj(c) conj(c') is +-conj(c) c' and conj(c) c' is one of 1, -1, i, -i, so
+    the entry is a signed real or imaginary part of (N1 + N2)[k, o, o'] or of
+    (N1 - N2)[k, o, o']. Two generators on one pair share both of its columns,
+    so the entries come in two groups, by whether k is the smaller or the
+    larger column of m's pair, and no group adds to one H_ml twice. Returns,
+    per group, the read-only flat indices into the n x n H, into the real view
+    of the (2, d, d, d) stack of N1 + N2 and N1 - N2, and the factors.
     """
-    half = d * (d - 1) // 2
+    half, n = d * (d - 1) // 2, d * (d - 1)
     i, j = _pairs(d)
     pair = np.zeros((d, d), dtype=int)
     pair[i, j] = pair[j, i] = np.arange(half)
     k, o = np.nonzero(~np.eye(d, dtype=bool))
-    k, o = k.reshape(d, d - 1), o.reshape(d, d - 1)
+    k, o = k.reshape(d, d - 1)[:, :1], o.reshape(d, d - 1)
     m = np.concatenate([pair[k, o], half + pair[k, o]], axis=1)
     c = np.concatenate([np.where(o < k, 1.0, -1.0) + 0j, np.full((d, d - 1), 1j)], axis=1)
     o = np.concatenate([o, o], axis=1)
-    for table in (m, o, c):
-        table.flags.writeable = False
-    return m, o, c
-
-
-@functools.cache
-def _hessian_plan(d: int):
-    """Where _hessian places the entries 2 Re(conj(c) c' N1 + conj(c) conj(c') N2).
-
-    For outcome k and the entries (m, o, c), (l, o', c') of row k of
-    _generators, conj(c) conj(c') is +-conj(c) c' and conj(c) c' is one of
-    1, -1, i, -i, so the entry is a signed real or imaginary part of
-    (N1 + N2)[k, o, o'] or of (N1 - N2)[k, o, o']. Two generators on one pair
-    share both of its columns, so the entries come in two groups, by whether k
-    is the smaller or the larger column of m's pair, and no group adds to one
-    H_ml twice. Returns, per group, the flat indices into the n x n H, into
-    the real view of the (2, d, d, d) stack of N1 + N2 and N1 - N2, and the
-    factors.
-    """
-    m, o, c = _generators(d)
-    n = d * (d - 1)
-    k = np.arange(d)[:, None, None]
     a = c.conj()[:, :, None] * c[:, None, :]
     which = (c.conj()[:, :, None] * c.conj()[:, None, :] != a).astype(int)  # 0: N1 + N2, 1: N1 - N2
     imaginary = (a.real == 0).astype(int)  # Re(i X) = -Im X
     factor = 2.0 * np.where(imaginary, -a.imag, a.real)
-    src = (((which * d + k) * d + o[:, :, None]) * d + o[:, None, :]) * 2 + imaginary
+    src = (((which * d + k[:, :, None]) * d + o[:, :, None]) * d + o[:, None, :]) * 2 + imaginary
     dest = m[:, :, None] * n + m[:, None, :]
-    first = np.broadcast_to((o > np.arange(d)[:, None])[:, :, None], dest.shape)
+    first = np.broadcast_to((o > k)[:, :, None], dest.shape)
     plan = tuple((dest[g], src[g], factor[g]) for g in (first, ~first))
     for table in (x for group in plan for x in group):
         table.flags.writeable = False
@@ -329,7 +308,7 @@ def _hessian(U: np.ndarray, data) -> np.ndarray:
     the table tau_ok = T(u_o, u_k) of off-diagonal blocks, one matmul of
     U^dagger with `products`; the blocks of the measurement are tau_kk.
     Generator m moves u_k to U E_m e_k = c u_o, with (m, o, c) an entry of row
-    k of _generators, so tau_kk moves by dtau_km = conj(c) tau_ok + h.c.,
+    k of _hessian_plan's table, so tau_kk moves by dtau_km = conj(c) tau_ok + h.c.,
     whose trace is 2 Re(conj(c) tr tau_ok). H_ml sums over the outcomes k
     that both m and l move, with (o, c) and (o', c') their entries in row k:
     - 2 Re(conj(c) c' tr(G_k tau_oo')), the cross term of the two first-order
@@ -529,12 +508,9 @@ def optimal_measurement_check(rho: DensityMatrix, cfg: OptimizerConfig) -> Optim
     conjugated = opt.argmin_basis.conj().T @ marginal @ opt.argmin_basis
     offdiag = float(np.abs(conjugated - np.diag(np.diag(conjugated))).max())
 
-    ensemble = conditional_ensemble(rho, evecs)
-    states = ensemble.conditional_states
-    max_comm = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            max_comm = max(max_comm, commutator_norm(states[i], states[j]))
+    states = np.array(conditional_ensemble(rho, evecs).conditional_states)
+    products = states[:, None] @ states[None]  # [i, j] = S_i S_j
+    max_comm = float(np.linalg.norm(products - products.swapaxes(0, 1), axis=(2, 3)).max())
 
     passed = gap <= OPTIMAL_BASIS_GAP_TOL and max_comm <= COMMUTATOR_NORM_TOL
     if degenerate:
@@ -544,12 +520,13 @@ def optimal_measurement_check(rho: DensityMatrix, cfg: OptimizerConfig) -> Optim
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Result of a geometric-discord vs squared-negativity ensemble sweep."""
+    """Result of a geometric-discord vs squared-negativity ensemble sweep; the
+    CLI prints the fields as JSON keys in this order."""
 
     samples: int
     min_gap: float
-    worst_case: PseudoPureParams
     violations: int
+    worst_case: PseudoPureParams
     checked: int = 0
     max_gd_gap: float = 0.0
     max_negativity_gap: float = 0.0
@@ -598,8 +575,8 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
     return ConjectureReport(
         samples=samples,
         min_gap=min_gap,
-        worst_case=worst,
         violations=violations,
+        worst_case=worst,
         checked=checked,
         max_gd_gap=max_gd_gap,
         max_negativity_gap=max_neg_gap,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -126,6 +127,21 @@ class TestCompute:
         code, out, err = run_cli(argv + raw, capsys)
         assert (code, err) == (0, "")
         assert out == run_cli(argv + reference, capsys)[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_numeric_builds_no_state_without_an_oracle_route(self, fmt, capsys, monkeypatch):
+        # eof and asymptote have no oracle route: building the d = 40 state took about 2 s for nothing
+        argv = ["compute", "--family", "werner", "--d", "40", "--lambda", "0.3",
+                "--measures", "eof,asymptote", "--format", fmt]
+        expected = run_cli(argv, capsys)
+
+        def refuse(params):
+            raise AssertionError("state built")
+
+        monkeypatch.setattr(cli, "build_werner", refuse)
+        monkeypatch.setattr(cli, "build_pseudo_pure", refuse)
+        assert run_cli(argv + ["--numeric"], capsys) == expected
+        assert expected[0] == 0
 
     def test_unnormalized_schmidt_rejected(self, capsys):
         code, _, err = run_cli(
@@ -287,6 +303,17 @@ class TestConjecture:
         assert payload["violations"] == 0
         assert payload["min_gap"] >= -1e-10
         assert set(payload["worst_case"]) == {"d", "alpha", "schmidt"}
+
+    def test_json_keys_are_the_report_fields(self, capsys):
+        report = oracle.conjecture_sweep(25, (2, 3), 9)
+        code, out, _ = run_cli(["conjecture", "--samples", "25", "--dmax", "3", "--seed", "9"],
+                               capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert list(payload) == [f.name for f in dataclasses.fields(oracle.ConjectureReport)]
+        worst = report.worst_case
+        assert list(payload["worst_case"].items()) == [
+            ("d", worst.d), ("alpha", worst.alpha), ("schmidt", worst.schmidt.tolist())]
 
     def test_deterministic(self, capsys):
         args = ["conjecture", "--samples", "25", "--dmax", "3", "--seed", "9"]

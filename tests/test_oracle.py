@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from conftest import random_density
 from qcorr import closed_forms as cf
@@ -78,6 +78,16 @@ class TestConditionalEnsemble:
             proj[k, k] = 1.0
             expected = top * proj + (beta / q_k) * (np.eye(d) - proj)
             assert np.abs(ens.conditional_states[k] - expected).max() <= 1e-12
+
+    def test_dropped_outcomes_carry_the_maximally_mixed_state(self, rng):
+        sigma = random_density(3, rng)
+        rho = product_state(sigma, np.diag(np.eye(4)[0]), (3, 4))
+        ens = conditional_ensemble(rho, np.eye(4))
+        assert ens.probabilities[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(ens.conditional_states[0] - sigma).max() <= 1e-12
+        assert ens.probabilities[1:].tolist() == [0.0, 0.0, 0.0]
+        for state in ens.conditional_states[1:]:
+            assert state.dtype == complex and np.array_equal(state, np.eye(3) / 3)
 
     def test_reconstructs_marginal(self, rng):
         from qcorr.linalg import partial_trace
@@ -419,20 +429,13 @@ class TestNewtonDescent:
         E = oracle._expm(X)
         assert np.abs(E @ E.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
 
-    def test_cached_generators_equal_skew_of_identity(self):
-        # row k of the table lists every generator m that moves u_k, with U E_m e_k = c u_o
+    def test_hessian_plan_tables_are_read_only(self):
+        # the cache hands the same tables to every _hessian call at d; the generator rows
+        # they are built from are checked by test_hessian_equals_per_outcome_reference
         for d in range(2, oracle.MAX_MEASURED_DIM + 1):
-            n = d * (d - 1)
-            E = oracle._skew(np.eye(n), d)
-            U = random_unitary(d, d)
-            m, o, c = oracle._generators(d)
-            assert m.shape == o.shape == c.shape == (d, 2 * (d - 1))
-            assert not (m.flags.writeable or o.flags.writeable or c.flags.writeable)
-            for k in range(d):
-                assert sorted(m[k]) == np.flatnonzero(np.abs(E[:, :, k]).sum(axis=1)).tolist()
-                for x in range(2 * (d - 1)):
-                    assert o[k, x] != k and c[k, x] in (1, -1, 1j)
-                    assert_array_equal(U @ E[m[k, x]][:, k], c[k, x] * U[:, o[k, x]])
+            tables = [table for group in oracle._hessian_plan(d) for table in group]
+            assert len(tables) == 6
+            assert not any(table.flags.writeable for table in tables)
 
     @pytest.mark.parametrize("d", range(2, 9))
     @pytest.mark.parametrize("measure", ["ce", "gd"])
@@ -493,6 +496,21 @@ class TestNewtonDescent:
                 fresh = hessian(U, oracle._value_and_gradient(r2, U, kernel)[2])
                 assert hessian(U, data).tobytes() == fresh.tobytes()
             calls.clear()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_small_first_trial_stops_the_restart(self, d, monkeypatch):
+        # a first trial of Frobenius norm 1e-12 bounds its largest coefficient by 1e-12, below
+        # _STEP_TOLERANCE: each restart stops after its start, one Hessian and that trial.
+        # Without the small-step stop every restart ran all 100 steps (201 evaluations).
+        monkeypatch.setattr(oracle, "_MAX_ROTATION", 1e-12)
+        rho = build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, 40 + d)))
+        r2 = oracle._paired_b_indices(rho)
+        start = random_unitaries(d, [[d, r] for r in range(3)])
+        start_values = oracle._value_and_gradient(r2, start, oracle._ce_of_blocks)[0]
+        values, _, evaluations, converged = descend(r2, start, oracle._ce_of_blocks)
+        assert evaluations.tolist() == [3, 3, 3]
+        assert converged.all()
+        assert (values < start_values).all()
 
     @pytest.mark.parametrize("measure", ["ce", "gd"])
     def test_trial_rotations_are_at_most_pi(self, measure, monkeypatch):
