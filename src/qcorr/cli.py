@@ -261,19 +261,34 @@ def _write(parts: Iterable[str], path: str | None) -> None:
 
 
 def _closed_chunks(family: str, d: int, grid: np.ndarray, u, fns):
-    """Yield (grid values, one list of results per closed form in `fns`) at
+    """Yield (grid values, one array of results per closed form in `fns`) at
     dimension d, one chunk of max(1, _CHUNK_FLOATS // d) grid values at a time."""
     size = max(1, _CHUNK_FLOATS // d)
     for lo in range(0, len(grid), size):
         values = grid[lo:lo + size]
         params = _params(family, d, values, u)
-        yield values.tolist(), [fn(params).tolist() for fn in fns]
+        yield values, [fn(params) for fn in fns]
 
 
-def _rows(family: str, d: int, value: float, results, method: str) -> str:
-    """The CSV_HEADER rows of one parameter value, one per (measure, result) pair."""
-    head = f"{family},{d},{_param_name(family)},{_fmt(value)},"
-    return "".join(f"{head}{measure},{_fmt(result)},{method}\n" for measure, result in results)
+def _render(template: str, cells: np.ndarray) -> str:
+    """`template` once per row of the 2-D float array `cells`, its %.12g slots
+    filled with that row's floats in order. '%.12g' % x renders x through the
+    same PyOS_double_to_string(x, 'g', 12) call as _fmt(x), so the bytes are
+    _fmt's."""
+    return template * len(cells) % tuple(cells.ravel().tolist())
+
+
+def _value_rows(family: str, d: int, values, results, method: str) -> str:
+    """The CSV_HEADER rows of the parameter values `values`: for each value, one
+    row per (measure, column) pair in `results`, a column holding one result
+    per value."""
+    measures, columns = zip(*results)
+    head = f"{family},{d},{_param_name(family)},%.12g,"
+    template = "".join(f"{head}{measure},%.12g,{method}\n" for measure in measures)
+    cells = np.empty((len(values), 2 * len(columns)))
+    cells[:, 0::2] = np.asarray(values, dtype=float)[:, None]
+    cells[:, 1::2] = np.transpose(columns)
+    return _render(template, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +315,9 @@ def cmd_compute(parser, args) -> int:
                    for method, pairs in results.items() for m, result in pairs]
         _write([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
-        _write([CSV_HEADER + "\n"] + [_rows(family, args.d, value, pairs, method)
-                                      for method, pairs in results.items()], args.out)
+        _write([CSV_HEADER + "\n"] + [
+            _value_rows(family, args.d, [value], [(m, [r]) for m, r in pairs], method)
+            for method, pairs in results.items()], args.out)
     return EXIT_OK
 
 
@@ -319,9 +335,8 @@ def cmd_sweep(parser, args) -> int:
     def parts():  # one part per chunk, so no more than a chunk of rows is held
         yield CSV_HEADER + "\n"
         for d in args.d:
-            for chunk, columns in _closed_chunks(family, d, grid, u, fns):
-                yield "".join(_rows(family, d, value, zip(args.measures, results), "closed")
-                              for value, *results in zip(chunk, *columns))
+            for values, columns in _closed_chunks(family, d, grid, u, fns):
+                yield _value_rows(family, d, values, zip(args.measures, columns), "closed")
 
     _write(parts(), args.out)
     return EXIT_OK
@@ -352,15 +367,17 @@ def cmd_figure(parser, args) -> int:
         return reduce(operator.sub, (fn(p) for fn in fns))
 
     grid = np.arange(101) / 100.0
+    for d in dims:  # every dimension, before the first chunk
+        _params(family, d, grid, None)
     header = [_param_name(family)] + [f"{label}_d{d}" for d in dims]
-    lines = [",".join(header + ([extra[0]] if extra else []))]
-    columns = [grid.tolist()]
-    columns += [[x for _, (results,) in _closed_chunks(family, d, grid, None, [column])
-                 for x in results] for d in dims]
+    columns = [grid]
+    columns += [np.concatenate([results for _, (results,) in
+                                _closed_chunks(family, d, grid, None, [column])]) for d in dims]
     if extra is not None:
-        columns.append(extra[1](grid).tolist())
-    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
-    _write(["\n".join(lines) + "\n"], args.out)
+        header.append(extra[0])
+        columns.append(extra[1](grid))
+    template = ",".join(["%.12g"] * len(columns)) + "\n"
+    _write([",".join(header) + "\n", _render(template, np.column_stack(columns))], args.out)
     return EXIT_OK
 
 

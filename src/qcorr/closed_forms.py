@@ -20,6 +20,7 @@ so that a sweep stays at O(d + chunk).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -46,12 +47,13 @@ def _out(x):
 
 def _plogq(p, q) -> np.ndarray:
     """p * log2(q) entry by entry, where a vanishing coefficient p (below
-    1e-15) kills the log term. The log is math.log2, which np.log2 misses
-    by an ulp on a few inputs."""
+    1e-15) kills the log term. np.fromiter maps math.log2 over the live q
+    one float at a time: np.log2 misses math.log2 by an ulp on a few inputs."""
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     live = p >= _ZERO
     out = np.zeros(p.shape)
-    out[live] = p[live] * np.array([math.log2(x) for x in q[live].tolist()])
+    logs = q[live].tolist()
+    out[live] = p[live] * np.fromiter(map(math.log2, logs), float, count=len(logs))
     return out
 
 
@@ -302,27 +304,29 @@ def pp_negativity(p: PseudoPureParams):
         groups.setdefault(counts.tobytes(), []).append(i)
     total = np.zeros(alphas.size)
     for members in groups.values():
-        counts = counts_of[members[0]]
-        stops = np.cumsum(counts)
-        if not stops[-1]:
+        # row i holds the flat terms [bounds[i], bounds[i + 1]); flat term k
+        # of row i is the pair (i, k - bounds[i] + i + 1)
+        bounds = [0, *np.cumsum(counts_of[members[0]]).tolist()]
+        if not bounds[-1]:
             continue
-        starts = stops - counts
-        shift = first_col - starts  # flat term k of row i is the pair (i, k + shift[i])
         scale, offset = alphas[members] * d * d - 1.0, 1.0 - alphas[members]
-        # every leaf is written into one buffer: a fresh (group, width) array
-        # per leaf made a d = 8000 call 3 to 4 times slower (page faults)
+        # every leaf is written into the same two buffers: a fresh (group, width)
+        # array per leaf made a d = 8000 call 3 to 4 times slower (page faults)
         width = max(_PAIRWISE_BLOCK, _SUM_LEAF // len(members))
-        term_buf = np.empty(len(members) * width)
+        prod_buf, term_buf = np.empty(width), np.empty(len(members) * width)
 
         def terms(first: int, last: int) -> np.ndarray:
-            rows = range(np.searchsorted(stops, first, "right"), np.searchsorted(starts, last))
-            prods = np.concatenate([u[i] * u[max(first, starts[i]) + shift[i]:
-                                             min(last, stops[i]) + shift[i]] for i in rows])
-            leaf = term_buf[:prods.size * len(members)].reshape(len(members), prods.size)
-            np.multiply(prods, scale, out=leaf)
+            # each row's products u_i u_j of the terms [first, last), in place
+            n = last - first
+            for i in range(bisect_right(bounds, first) - 1, bisect_left(bounds, last)):
+                lo, hi = max(first, bounds[i]), min(last, bounds[i + 1])
+                j = lo - bounds[i] + i + 1
+                np.multiply(u[i], u[j:j + hi - lo], out=prod_buf[lo - first:hi - first])
+            leaf = term_buf[:n * len(members)].reshape(len(members), n)
+            np.multiply(prod_buf[:n], scale, out=leaf)
             return np.subtract(leaf, offset, out=leaf)
 
-        total[members] = _tree_sum(terms, 0, int(stops[-1]), width)
+        total[members] = _tree_sum(terms, 0, bounds[-1], width)
     return _out((2.0 * total / ((d - 1.0) ** 2 * (d + 1.0))).reshape(a.shape))
 
 

@@ -13,7 +13,7 @@ import pytest
 from qcorr import cli
 from qcorr import closed_forms as cf
 from qcorr import oracle
-from qcorr.states import PseudoPureParams, random_schmidt_vector
+from qcorr.states import PseudoPureParams, WernerParams, random_schmidt_vector
 
 
 def run_cli(args, capsys):
@@ -237,6 +237,52 @@ class TestSweep:
         assert (code, capsys.readouterr().out) == (0, "")
         assert path.read_text().count("\n") == 1 + 5 * 16385
         assert peak < 4 * 2**20
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# Floats at which %.12g changes sign, notation or rounding: signed zero and the
+# smallest subnormal, both sides of where g switches to an exponent (below 1e-4
+# and from 1e12 up), values that round across those switches, a sum that is not
+# its decimal, and the non-finite ones.
+EDGE_FLOATS = [float(x) for x in [
+    -0.0, 0.0, 5e-324, -5e-324, *_neighbours(1e-5), *_neighbours(1e-4), *_neighbours(1e12),
+    9.99999999999949e-05, 9.9999999999995e-05, 999999999999.4, 999999999999.5, 0.1 + 0.2,
+    -1.7976931348623157e308, math.nan, -math.nan, math.inf, -math.inf,
+]]
+
+
+class TestRowFormatter:
+    def test_render_equals_fmt_on_edge_floats(self):
+        cells = np.array(EDGE_FLOATS).reshape(-1, 1)
+        assert cli._render("%.12g\n", cells) == "".join(
+            cli._fmt(x) + "\n" for x in EDGE_FLOATS)
+
+    def test_value_rows_interleave_each_value_with_its_results(self):
+        values = EDGE_FLOATS
+        columns = [EDGE_FLOATS[::-1], np.roll(EDGE_FLOATS, 5)]
+        expected = "".join(
+            f"werner,7,lambda,{cli._fmt(x)},discord,{cli._fmt(a)},closed\n"
+            f"werner,7,lambda,{cli._fmt(x)},cc,{cli._fmt(b)},closed\n"
+            for x, a, b in zip(values, *columns))
+        rows = cli._value_rows("werner", 7, values, zip(["discord", "cc"], columns), "closed")
+        assert rows == expected
+
+    def test_sweep_over_many_chunks_equals_rows_built_with_fmt(self, capsys):
+        # at d = 40000 each chunk holds one grid value, at d = 3 one chunk holds all five
+        measures = ["discord", "cc", "mi", "eof", "asymptote"]
+        code, out, _ = run_cli(
+            ["sweep", "--family", "werner", "--d", "40000,3", "--start", "0", "--stop", "1",
+             "--step", "0.25", "--measures", ",".join(measures)],
+            capsys,
+        )
+        rows = [cli.CSV_HEADER] + [
+            f"werner,{d},lambda,{cli._fmt(x)},{m},"
+            f"{cli._fmt(cli.MEASURES[m].werner(WernerParams(d, x)))},closed"
+            for d in (40000, 3) for x in (0.0, 0.25, 0.5, 0.75, 1.0) for m in measures]
+        assert (code, out) == (0, "\n".join(rows) + "\n")
 
 
 class TestFigure:
@@ -514,6 +560,15 @@ class TestExitCodes:
             capsys,
         )
         assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("name", ["fig1", "fig4"])
+    @pytest.mark.parametrize("dims", ["0", "2,0"])
+    def test_figure_dimension_zero_is_domain_error(self, name, dims, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_closed_chunks", lambda *a: calls.append(a) or iter(()))
+        code, out, err = run_cli(["figure", name, "--dims", dims], capsys)
+        assert (code, out, calls) == (3, "", [])
+        assert err == "qcorr: local dimension must be an integer >= 2, got 0\n"
 
     @pytest.mark.parametrize("family, name", [("werner", "lam"), ("isotropic", "alpha")])
     def test_sweep_grid_outside_the_unit_interval_is_domain_error(self, family, name, capsys):
