@@ -27,7 +27,6 @@ from .closed_forms import (
     werner_separable,
 )
 from .linalg import (
-    commutator_norm,
     hermitian_eigensystem,
     partial_trace,
     partial_transpose,
@@ -55,7 +54,6 @@ from .states import (
     DensityMatrix,
     PseudoPureParams,
     WernerParams,
-    build_isotropic,
     build_pseudo_pure,
     build_werner,
     flip_operator,

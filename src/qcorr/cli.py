@@ -3,9 +3,10 @@
 Subcommands: compute (single point), sweep (parameter grid to CSV), figure
 (regenerate the data behind the standard plots), conjecture (ensemble
 sweep of gd >= negativity^2) and oracle-compare (closed forms against the
-matrix-based oracle). Output is CSV or JSON with floats at 12 significant
-digits; every stochastic path is seeded, so identical flags give
-byte-identical output. sweep checks its whole request first, then writes
+matrix-based oracle). CSV floats carry 12 significant digits; JSON floats
+(compute --format json, conjecture) are Python's shortest repr, which reads
+back as the same float. Every stochastic path is seeded, so identical flags
+give byte-identical output. sweep checks its whole request first, then writes
 its rows one grid chunk at a time; the other commands write bounded output.
 
 Exit codes: 0 success, 2 usage, 3 domain, capability or output-file error,
@@ -48,12 +49,14 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer that 
 
 # Largest parameter grid sweep and oracle-compare accept, checked before building it.
 MAX_GRID_POINTS = 10**6
-# sweep and figure call each closed form on max(1, _CHUNK_FLOATS // d) grid
-# values at a time: an array call holds O(values * d), so memory stays
-# O(d + chunk) at any d.
+# sweep, figure and oracle-compare call each closed form on
+# max(1, _CHUNK_FLOATS // d) grid values at a time: an array call holds
+# O(values * d), so memory stays O(d + chunk) at any d.
 _CHUNK_FLOATS = 1 << 16
 
 CSV_HEADER = "family,d,param_name,param_value,measure,value,method"
+# The flags of oracle.OptimizerConfig, in the parsed args only when given.
+_OPTIMIZER_FLAGS = ("restarts", "seed")
 
 
 class OraclePoint:
@@ -122,28 +125,36 @@ MEASURES = {
 }
 
 
-def _closed_fn(family: str, measure: str):
-    """The closed form of `measure` for `family`, or None if it has none."""
-    entry = MEASURES[measure]
-    return entry.werner if family == "werner" else entry.pp
+class Family(NamedTuple):
+    """One state family. `params` maps (d, a value or a 1-D array of them,
+    Schmidt vector) to the validated parameter record, and `state` the record
+    of one value to its DensityMatrix; like the MEASURES routes, each looks
+    its library function up when called."""
+
+    param: str  # the mixing parameter: the compute flag and the CSV param_name
+    params: Callable
+    state: Callable
+    route: str  # the Measure field holding the family's closed forms
 
 
-def _params(family: str, d: int, value, u):
-    """The validated parameter record at dimension d of one value, or of a
-    1-D array of them."""
-    if family == "werner":
-        return WernerParams(d, value)
-    if family == "isotropic":
-        return isotropic_params(d, value)
-    return PseudoPureParams(d, value, u)
+FAMILIES = {
+    "werner": Family("lambda", lambda d, x, u: WernerParams(d, x),
+                     lambda p: build_werner(p), "werner"),
+    "pp": Family("alpha", lambda d, x, u: PseudoPureParams(d, x, u),
+                 lambda p: build_pseudo_pure(p), "pp"),
+    "isotropic": Family("alpha", lambda d, x, u: isotropic_params(d, x),
+                        lambda p: build_pseudo_pure(p), "pp"),
+}
 
 
-def _state(family: str, params):
-    return build_werner(params) if family == "werner" else build_pseudo_pure(params)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _closed_fns(family: str, measures: list[str]) -> list[Callable]:
+    """The closed form of each of `measures` for `family`; raises if one has none."""
+    fns = [getattr(MEASURES[m], FAMILIES[family].route) for m in measures]
+    bad = [m for m, fn in zip(measures, fns) if fn is None]
+    if bad:
+        raise ValueError(f"measure(s) {', '.join(bad)} have no closed form "
+                         f"for family {family!r}")
+    return fns
 
 
 def _parse_measures(text: str) -> list[str]:
@@ -195,13 +206,6 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
     return points
 
 
-def _check_measures(family: str, measures: list[str]) -> None:
-    bad = [m for m in measures if _closed_fn(family, m) is None]
-    if bad:
-        raise ValueError(f"measure(s) {', '.join(bad)} have no closed form "
-                         f"for family {family!r}")
-
-
 def _check_envelope(d: int, measures: list[str]) -> None:
     """Raise the error the oracle raises for `measures` at dimension d, before
     any state is built: every state is a dense d^2 x d^2 matrix, and a measure
@@ -211,17 +215,6 @@ def _check_envelope(d: int, measures: list[str]) -> None:
         oracle.check_measured_dimension(d)
 
 
-def _param_name(family: str) -> str:
-    return "lambda" if family == "werner" else "alpha"
-
-
-def _param_value(args) -> float:
-    value = args.lam if args.family == "werner" else args.alpha
-    if value is None:
-        raise ValueError(f"family {args.family} requires --{_param_name(args.family)}")
-    return value
-
-
 def _require_schmidt(parser: argparse.ArgumentParser, args) -> None:
     if args.family == "pp" and args.schmidt is None:
         parser.error("family pp requires --schmidt")
@@ -229,6 +222,22 @@ def _require_schmidt(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--schmidt is only valid for family pp")
     if args.normalize and args.schmidt is None:
         parser.error("--normalize is only valid with --schmidt")
+
+
+def _check_compute_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject another family's mixing parameter, and optimizer flags without --numeric."""
+    own = FAMILIES[args.family].param
+    for name in (f.param for f in FAMILIES.values() if f.param != own):
+        if getattr(args, name) is not None:
+            parser.error(f"--{name} is not valid for family {args.family}")
+    given = [name for name in _OPTIMIZER_FLAGS if name in vars(args)]
+    if given and not args.numeric:
+        parser.error(f"--{given[0]} is only valid with --numeric")
+
+
+def _optimizer_config(args) -> oracle.OptimizerConfig:
+    """The basis search setting of the flags given; the others keep their defaults."""
+    return oracle.OptimizerConfig(**{k: v for k, v in vars(args).items() if k in _OPTIMIZER_FLAGS})
 
 
 def _check_out(path: str | None) -> None:
@@ -266,15 +275,18 @@ def _closed_chunks(family: str, d: int, grid: np.ndarray, u, fns):
     size = max(1, _CHUNK_FLOATS // d)
     for lo in range(0, len(grid), size):
         values = grid[lo:lo + size]
-        params = _params(family, d, values, u)
+        params = FAMILIES[family].params(d, values, u)
         yield values, [fn(params) for fn in fns]
+
+
+def _closed_column(family: str, d: int, grid: np.ndarray, u, fn) -> np.ndarray:
+    """The results of one closed form over the whole grid, a chunk at a time."""
+    return np.concatenate([results for _, (results,) in _closed_chunks(family, d, grid, u, [fn])])
 
 
 def _render(template: str, cells: np.ndarray) -> str:
     """`template` once per row of the 2-D float array `cells`, its %.12g slots
-    filled with that row's floats in order. '%.12g' % x renders x through the
-    same PyOS_double_to_string(x, 'g', 12) call as _fmt(x), so the bytes are
-    _fmt's."""
+    filled with that row's floats in order."""
     return template * len(cells) % tuple(cells.ravel().tolist())
 
 
@@ -283,7 +295,7 @@ def _value_rows(family: str, d: int, values, results, method: str) -> str:
     row per (measure, column) pair in `results`, a column holding one result
     per value."""
     measures, columns = zip(*results)
-    head = f"{family},{d},{_param_name(family)},%.12g,"
+    head = f"{family},{d},{FAMILIES[family].param},%.12g,"
     template = "".join(f"{head}{measure},%.12g,{method}\n" for measure in measures)
     cells = np.empty((len(values), 2 * len(columns)))
     cells[:, 0::2] = np.asarray(values, dtype=float)[:, None]
@@ -297,26 +309,29 @@ def _value_rows(family: str, d: int, values, results, method: str) -> str:
 
 def cmd_compute(parser, args) -> int:
     _require_schmidt(parser, args)
+    _check_compute_flags(parser, args)
     _check_out(args.out)
-    family, value = args.family, _param_value(args)
-    _check_measures(family, args.measures)
-    params = _params(family, args.d, value, _schmidt_vector(args))
+    family = FAMILIES[args.family]
+    value = getattr(args, family.param)
+    if value is None:
+        raise ValueError(f"family {args.family} requires --{family.param}")
+    fns = _closed_fns(args.family, args.measures)
+    params = family.params(args.d, value, _schmidt_vector(args))
     if args.numeric:
         _check_envelope(args.d, args.measures)
-    results = {"closed": [(m, _closed_fn(family, m)(params)) for m in args.measures]}
+    results = {"closed": [(m, fn(params)) for m, fn in zip(args.measures, fns)]}
     numeric = [m for m in args.measures if args.numeric and MEASURES[m].oracle is not None]
     if numeric:  # a state is built only for a measure with an oracle route
-        cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
-        point = OraclePoint(_state(family, params), cfg)
+        point = OraclePoint(family.state(params), _optimizer_config(args))
         results["numeric"] = [(m, MEASURES[m].oracle(point)) for m in numeric]
     if args.format == "json":
-        head = (family, args.d, _param_name(family), value)
+        head = (args.family, args.d, family.param, value)
         payload = [dict(zip(CSV_HEADER.split(","), (*head, m, result, method)))
                    for method, pairs in results.items() for m, result in pairs]
         _write([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
         _write([CSV_HEADER + "\n"] + [
-            _value_rows(family, args.d, [value], [(m, [r]) for m, r in pairs], method)
+            _value_rows(args.family, args.d, [value], [(m, [r]) for m, r in pairs], method)
             for method, pairs in results.items()], args.out)
     return EXIT_OK
 
@@ -325,12 +340,11 @@ def cmd_sweep(parser, args) -> int:
     _require_schmidt(parser, args)
     _check_out(args.out)
     family = args.family
-    _check_measures(family, args.measures)
+    fns = _closed_fns(family, args.measures)
     u = _schmidt_vector(args)
     grid = _grid(args.start, args.stop, args.step)
     for d in args.d:  # the whole request, before the first row: a bad one writes nothing
-        _params(family, d, grid, u)
-    fns = [_closed_fn(family, m) for m in args.measures]
+        FAMILIES[family].params(d, grid, u)
 
     def parts():  # one part per chunk, so no more than a chunk of rows is held
         yield CSV_HEADER + "\n"
@@ -361,18 +375,16 @@ def cmd_figure(parser, args) -> int:
     _check_out(args.out)
     family, label, measures, extra = _FIGURES[args.name]
     dims = args.dims or ([2, 50] if args.name == "fig3" else [2, 3, 10, 50])
-    fns = [_closed_fn(family, m) for m in measures]
+    fns = _closed_fns(family, measures)
 
     def column(p):
         return reduce(operator.sub, (fn(p) for fn in fns))
 
     grid = np.arange(101) / 100.0
     for d in dims:  # every dimension, before the first chunk
-        _params(family, d, grid, None)
-    header = [_param_name(family)] + [f"{label}_d{d}" for d in dims]
-    columns = [grid]
-    columns += [np.concatenate([results for _, (results,) in
-                                _closed_chunks(family, d, grid, None, [column])]) for d in dims]
+        FAMILIES[family].params(d, grid, None)
+    header = [FAMILIES[family].param] + [f"{label}_d{d}" for d in dims]
+    columns = [grid] + [_closed_column(family, d, grid, None, column) for d in dims]
     if extra is not None:
         header.append(extra[0])
         columns.append(extra[1](grid))
@@ -392,29 +404,26 @@ def cmd_conjecture(parser, args) -> int:
 def cmd_oracle_compare(parser, args) -> int:
     _require_schmidt(parser, args)
     _check_out(args.out)
-    family, measure = args.family, args.measure
-    _check_measures(family, [measure])
-    closed_fn = _closed_fn(family, measure)
+    family, measure, d = FAMILIES[args.family], args.measure, args.d
+    (closed_fn,) = _closed_fns(args.family, [measure])
     u = _schmidt_vector(args)
     tolerance = MEASURES[measure].tolerance
-    cfg = oracle.OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    cfg = _optimizer_config(args)
     grid = _grid(args.start, args.stop, args.step)
-    _params(family, args.d, grid, u)  # every grid value, before the first point
-    _check_envelope(args.d, [measure])
-    lines = ["family,d,measure,param_name,param_value,closed,numeric,abs_gap"]
-    max_gap = 0.0
-    for value in grid.tolist():
-        params = _params(family, args.d, value, u)
-        closed = closed_fn(params)
-        numeric = MEASURES[measure].oracle(OraclePoint(_state(family, params), cfg))
-        gap = abs(closed - numeric)
-        max_gap = max(max_gap, gap)
-        lines.append(",".join([family, str(args.d), measure, _param_name(family),
-                               *map(_fmt, (value, closed, numeric, gap))]))
-    _write(["\n".join(lines) + "\n"], args.out)
+    family.params(d, grid, u)  # every grid value, before the first point
+    _check_envelope(d, [measure])
+    closed = _closed_column(args.family, d, grid, u, closed_fn)
+    points = (OraclePoint(family.state(family.params(d, x, u)), cfg) for x in grid.tolist())
+    numeric = np.array([MEASURES[measure].oracle(point) for point in points])
+    gaps = np.abs(closed - numeric)
+    max_gap = max(0.0, *gaps.tolist())  # passes over a nan gap, where np.max would return nan
+    head = f"{args.family},{d},{measure},{family.param},"
+    _write(["family,d,measure,param_name,param_value,closed,numeric,abs_gap\n",
+            _render(head + "%.12g,%.12g,%.12g,%.12g\n",
+                    np.column_stack([grid, closed, numeric, gaps]))], args.out)
     status = "ok" if max_gap <= tolerance else "fail"
     print(
-        f"oracle-compare {family} d={args.d} {measure}: "
+        f"oracle-compare {args.family} d={d} {measure}: "
         f"max_gap={max_gap:.3e} tolerance={tolerance:.0e} {status}",
         file=sys.stderr,
     )
@@ -426,7 +435,7 @@ def cmd_oracle_compare(parser, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_family_options(sub: argparse.ArgumentParser, sweep: bool) -> None:
-    sub.add_argument("--family", required=True, choices=("werner", "pp", "isotropic"))
+    sub.add_argument("--family", required=True, choices=list(FAMILIES))
     if sweep:
         sub.add_argument("--d", required=True, type=_parse_int_list, metavar="D1,D2,...")
     else:
@@ -435,6 +444,11 @@ def _add_family_options(sub: argparse.ArgumentParser, sweep: bool) -> None:
                      help="Schmidt amplitudes (family pp only)")
     sub.add_argument("--normalize", action="store_true",
                      help="rescale and sort the Schmidt amplitudes")
+
+
+def _add_optimizer_options(sub: argparse.ArgumentParser) -> None:
+    for name in _OPTIMIZER_FLAGS:
+        sub.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,12 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     compute = commands.add_parser("compute", help="closed forms at a single parameter point")
     _add_family_options(compute, sweep=False)
-    compute.add_argument("--lambda", dest="lam", type=float, help="Werner mixing parameter")
+    compute.add_argument("--lambda", type=float, metavar="LAM", help="Werner mixing parameter")
     compute.add_argument("--alpha", type=float, help="pseudo-pure / isotropic mixing parameter")
     compute.add_argument("--measures", required=True, type=_parse_measures, metavar="M1,M2,...")
     compute.add_argument("--numeric", action="store_true", help="add matrix-oracle rows")
-    compute.add_argument("--restarts", type=int, default=oracle.OptimizerConfig.restarts)
-    compute.add_argument("--seed", type=int, default=oracle.OptimizerConfig.seed)
+    _add_optimizer_options(compute)
     compute.add_argument("--format", choices=("csv", "json"), default="csv")
     compute.add_argument("--out")
     compute.set_defaults(func=cmd_compute)
@@ -488,8 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--start", required=True, type=float)
     compare.add_argument("--stop", required=True, type=float)
     compare.add_argument("--step", required=True, type=float)
-    compare.add_argument("--restarts", type=int, default=oracle.OptimizerConfig.restarts)
-    compare.add_argument("--seed", type=int, default=oracle.OptimizerConfig.seed)
+    _add_optimizer_options(compare)
     compare.add_argument("--out")
     compare.set_defaults(func=cmd_oracle_compare)
 

@@ -24,10 +24,10 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from .linalg import EVAL_ZERO_CUTOFF
 from .states import PseudoPureParams, WernerParams, _check_unit, validate_schmidt
 
 LN2 = math.log(2.0)
-_ZERO = 1e-15
 
 # Negative partial-transpose blocks are counted only when strictly below
 # this tie window; boundary pairs contribute exactly zero anyway.
@@ -50,7 +50,7 @@ def _plogq(p, q) -> np.ndarray:
     1e-15) kills the log term. np.fromiter maps math.log2 over the live q
     one float at a time: np.log2 misses math.log2 by an ulp on a few inputs."""
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    live = p >= _ZERO
+    live = p >= EVAL_ZERO_CUTOFF
     out = np.zeros(p.shape)
     logs = q[live].tolist()
     out[live] = p[live] * np.fromiter(map(math.log2, logs), float, count=len(logs))
@@ -71,11 +71,11 @@ def _sum_xlog2(w: np.ndarray) -> np.ndarray:
     or below it is filtered and summed on its own.
     """
     rows = w.reshape(-1, w.shape[-1])
-    full = (rows > _ZERO).all(axis=1)
+    full = (rows > EVAL_ZERO_CUTOFF).all(axis=1)
     out = np.empty(len(rows))
     out[full] = (rows[full] * np.log2(rows[full])).sum(axis=-1)
     for i in np.flatnonzero(~full):
-        kept = rows[i][rows[i] > _ZERO]
+        kept = rows[i][rows[i] > EVAL_ZERO_CUTOFF]
         out[i] = (kept * np.log2(kept)).sum()
     return out.reshape(w.shape[:-1])
 

@@ -149,12 +149,3 @@ def purity(rho) -> float:
     """tr(rho^2) of a square matrix (real part; imaginary residue ~1e-12)."""
     A = _as_square(rho, "state")
     return float(np.einsum("ij,ji->", A, A).real)
-
-
-def commutator_norm(A, B) -> float:
-    """Frobenius norm of the commutator AB - BA."""
-    X = _as_square(A, "A")
-    Y = _as_square(B, "B")
-    if X.shape != Y.shape:
-        raise ValueError(f"operands must have equal shapes, got {X.shape} and {Y.shape}")
-    return float(np.linalg.norm(X @ Y - Y @ X))

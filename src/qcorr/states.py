@@ -196,11 +196,6 @@ def build_pseudo_pure(p: PseudoPureParams) -> DensityMatrix:
     return DensityMatrix(rho, (p.d, p.d))
 
 
-def build_isotropic(d: int, alpha: float) -> DensityMatrix:
-    """Isotropic state: pseudo-pure with a maximally entangled pure part."""
-    return build_pseudo_pure(isotropic_params(d, alpha))
-
-
 def isotropic_params(d: int, alpha: float) -> PseudoPureParams:
     """Parameter record of the isotropic state (uniform Schmidt vector)."""
     d = _check_dimension(d)

@@ -257,15 +257,14 @@ EDGE_FLOATS = [float(x) for x in [
 class TestRowFormatter:
     def test_render_equals_fmt_on_edge_floats(self):
         cells = np.array(EDGE_FLOATS).reshape(-1, 1)
-        assert cli._render("%.12g\n", cells) == "".join(
-            cli._fmt(x) + "\n" for x in EDGE_FLOATS)
+        assert cli._render("%.12g\n", cells) == "".join(f"{x:.12g}\n" for x in EDGE_FLOATS)
 
     def test_value_rows_interleave_each_value_with_its_results(self):
         values = EDGE_FLOATS
         columns = [EDGE_FLOATS[::-1], np.roll(EDGE_FLOATS, 5)]
         expected = "".join(
-            f"werner,7,lambda,{cli._fmt(x)},discord,{cli._fmt(a)},closed\n"
-            f"werner,7,lambda,{cli._fmt(x)},cc,{cli._fmt(b)},closed\n"
+            f"werner,7,lambda,{x:.12g},discord,{a:.12g},closed\n"
+            f"werner,7,lambda,{x:.12g},cc,{b:.12g},closed\n"
             for x, a, b in zip(values, *columns))
         rows = cli._value_rows("werner", 7, values, zip(["discord", "cc"], columns), "closed")
         assert rows == expected
@@ -279,8 +278,8 @@ class TestRowFormatter:
             capsys,
         )
         rows = [cli.CSV_HEADER] + [
-            f"werner,{d},lambda,{cli._fmt(x)},{m},"
-            f"{cli._fmt(cli.MEASURES[m].werner(WernerParams(d, x)))},closed"
+            f"werner,{d},lambda,{x:.12g},{m},"
+            f"{cli.MEASURES[m].werner(WernerParams(d, x)):.12g},closed"
             for d in (40000, 3) for x in (0.0, 0.25, 0.5, 0.75, 1.0) for m in measures]
         assert (code, out) == (0, "\n".join(rows) + "\n")
 
@@ -629,7 +628,9 @@ class TestExitCodes:
     def work_calls(self, monkeypatch):
         """Records every point built and every conjecture sweep started."""
         calls = []
-        monkeypatch.setattr(cli, "_params", lambda *a: calls.append(a))
+        for name, family in cli.FAMILIES.items():
+            monkeypatch.setitem(cli.FAMILIES, name,
+                                family._replace(params=lambda *a: calls.append(a)))
         monkeypatch.setattr(oracle, "conjecture_sweep", lambda *a: calls.append(a))
         return calls
 
@@ -725,6 +726,35 @@ class TestExitCodes:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("family, given, other", [
+        ("werner", ["--lambda", "0.3"], "--alpha"),
+        ("pp", ["--alpha", "0.3", "--schmidt", "0.8,0.6,0"], "--lambda"),
+        ("isotropic", ["--alpha", "0.3"], "--lambda"),
+    ])
+    def test_other_familys_parameter_is_usage_error(self, family, given, other, capsys):
+        code, out, err = run_cli(["compute", "--family", family, "--d", "3", *given,
+                                  other, "0.9", "--measures", "discord"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {other} is not valid for family {family}\n")
+
+    def test_schmidt_for_another_family_is_usage_error(self, capsys):
+        code, out, err = run_cli(["compute", "--family", "isotropic", "--d", "3", "--alpha", "0.3",
+                                  "--schmidt", "1,0,0", "--measures", "discord"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --schmidt is only valid for family pp\n")
+
+    @pytest.mark.parametrize("flag", [["--restarts", "0"], ["--restarts", "4"], ["--seed", "1"]])
+    def test_optimizer_flag_without_numeric_is_usage_error(self, flag, capsys):
+        code, out, err = run_cli(["compute", "--family", "werner", "--d", "2", "--lambda", "0.5",
+                                  "--measures", "discord", *flag], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {flag[0]} is only valid with --numeric\n")
+
+    def test_no_restarts_with_numeric_is_domain_error(self, capsys):
+        code, out, err = run_cli(["compute", "--family", "werner", "--d", "2", "--lambda", "0.5",
+                                  "--measures", "discord", "--numeric", "--restarts", "0"], capsys)
+        assert (code, out, err) == (3, "", "qcorr: restarts must be >= 1\n")
 
 
 class TestGrid:

@@ -33,6 +33,10 @@ unit-trace states), so the line search visits other bases; the printed values
 moved by at most 2.7e-15 and stay within 4.3e-15 of the closed forms, again
 with the same digests on one thread and on the default count, which CI checks.
 No closed-form digest moved.
+
+The ``oracle-compare`` digests of Werner discord and pseudo-pure gd pin a
+closed column next to an oracle column; both were recorded with the same
+digests on one BLAS thread and on the default thread count.
 """
 
 import hashlib
@@ -111,6 +115,16 @@ GOLDEN = {
         ["oracle-compare", "--family", "isotropic", "--d", "3", "--measure", "negativity",
          "--start", "0", "--stop", "1", "--step", "0.1"],
         "87fb021dd3a12062a815123f0391991bab121deede92cefc17efb12ea4176f2e"),
+    # the closed column at lambda = 0.25 prints -1.11022302463e-16, so a closed form
+    # evaluated on another path shows in these bytes even where the oracle agrees
+    "oracle-compare-werner-discord": (
+        ["oracle-compare", "--family", "werner", "--d", "2", "--measure", "discord",
+         "--start", "0", "--stop", "1", "--step", "0.125"],
+        "0cd5dddb6bb618c084b75b751f64377ec4cbf267fa58300f692e5ddab8523963"),
+    "oracle-compare-pp-gd": (
+        ["oracle-compare", "--family", "pp", "--d", "3", "--schmidt", "0.8,0.6,0",
+         "--measure", "gd", "--start", "0", "--stop", "1", "--step", "0.25"],
+        "e11a4326595f7567eb3313c3a186265829553718afce9facedd31ace66900230"),
     # Newton basis search: max_gd_gap went from 8.5e-16 to 1.0e-15; analytic Hessian: to 1.8e-15;
     # step bound at pi: to 6.0e-16; Hessian from the table of off-diagonal blocks: to 1.9e-15
     "conjecture": (
@@ -128,7 +142,8 @@ def test_stdout_digest(name, capsys):
 
 
 @pytest.mark.parametrize("chunk_floats", [5, 64])
-@pytest.mark.parametrize("name", [n for n in GOLDEN if n.startswith(("sweep", "figure"))])
+@pytest.mark.parametrize("name", [n for n in GOLDEN
+                                  if n.startswith(("sweep", "figure", "oracle-compare"))])
 def test_digest_with_the_grid_in_chunks(name, chunk_floats, capsys, monkeypatch):
     # each dimension's grid is evaluated in chunks of chunk_floats // d values (at least one)
     monkeypatch.setattr(cli, "_CHUNK_FLOATS", chunk_floats)

@@ -573,10 +573,11 @@ class TestGoldenBits:
     def test_closed_forms_reproduce_their_bits(self, family):
         dims, digest = self.CASES[family]
         sha = hashlib.sha256()
+        route = cli.FAMILIES[family].route
         for d in dims:
-            params = cli._params(family, d, self.GRID, self.SCHMIDT)
-            for name in cli.MEASURES:
-                fn = cli._closed_fn(family, name)
+            params = cli.FAMILIES[family].params(d, self.GRID, self.SCHMIDT)
+            for measure in cli.MEASURES.values():
+                fn = getattr(measure, route)
                 if fn is not None:
                     values = fn(params)
                     assert values.dtype == np.float64 and values.shape == self.GRID.shape

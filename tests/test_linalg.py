@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from conftest import random_density, random_hermitian
 from qcorr.linalg import (
-    commutator_norm,
     hermitian_eigensystem,
     partial_trace,
     partial_transpose,
@@ -185,22 +184,11 @@ class TestPurity:
 
 
 class TestCommutatorNorm:
-    def test_diagonal_pair(self):
-        assert commutator_norm(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
-
-    def test_pauli_pair(self):
-        X = np.array([[0.0, 1.0], [1.0, 0.0]])
-        Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-        assert commutator_norm(X, Z) == pytest.approx(2 * math.sqrt(2), abs=1e-14)
-
     def test_werner_conditional_states_commute(self):
         rho = build_werner(WernerParams(3, 0.6))
         ens = conditional_ensemble(rho, random_unitary(3, 11))
         states = ens.conditional_states
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
-                assert commutator_norm(states[i], states[j]) <= 1e-10
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            commutator_norm(np.eye(2), np.eye(3))
+                a, b = states[i], states[j]
+                assert np.linalg.norm(a @ b - b @ a) <= 1e-10

@@ -31,7 +31,6 @@ from qcorr.states import (
     DensityMatrix,
     PseudoPureParams,
     WernerParams,
-    build_isotropic,
     build_pseudo_pure,
     build_werner,
     isotropic_params,
@@ -618,7 +617,7 @@ class TestDiscordNumeric:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.8, 1.0])
     def test_pp_isotropic_d2_matches_closed_form(self, alpha):
-        rho = build_isotropic(2, alpha)
+        rho = build_pseudo_pure(isotropic_params(2, alpha))
         assert discord_numeric(rho, FAST) == pytest.approx(
             cf.pp_discord(isotropic_params(2, alpha)), abs=1e-6
         )
@@ -641,7 +640,7 @@ class TestMutualInformationNumeric:
         )
 
     def test_pure_maximally_entangled(self):
-        rho = build_isotropic(4, 1.0)
+        rho = build_pseudo_pure(isotropic_params(4, 1.0))
         assert mutual_information_numeric(rho) == pytest.approx(4.0, abs=1e-10)
 
 
@@ -659,7 +658,7 @@ class TestGdObjective:
         assert gd_objective(state, basis) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_entangled_constant_half(self):
-        rho = build_isotropic(2, 1.0)
+        rho = build_pseudo_pure(isotropic_params(2, 1.0))
         for seed in range(20):
             assert gd_objective(rho, random_unitary(2, seed)) == pytest.approx(0.5, abs=1e-12)
 
@@ -685,7 +684,7 @@ class TestGdNumeric:
         assert abs(gd_numeric(rho, FAST)) <= 1e-10
 
     def test_pure_uniform_is_one(self):
-        rho = build_isotropic(3, 1.0)
+        rho = build_pseudo_pure(isotropic_params(3, 1.0))
         assert gd_numeric(rho, FAST) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -695,7 +694,8 @@ class TestNegativityNumeric:
         assert negativity_numeric(rho) <= 1e-10
 
     def test_isotropic_pure(self):
-        assert negativity_numeric(build_isotropic(3, 1.0)) == pytest.approx(1.0, abs=1e-12)
+        rho = build_pseudo_pure(isotropic_params(3, 1.0))
+        assert negativity_numeric(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state(self, rng):
         rho = product_state(random_density(3, rng), random_density(3, rng), (3, 3))

@@ -9,10 +9,10 @@ from qcorr.states import (
     DensityMatrix,
     PseudoPureParams,
     WernerParams,
-    build_isotropic,
     build_pseudo_pure,
     build_werner,
     flip_operator,
+    isotropic_params,
     normalized_schmidt,
     random_schmidt_vector,
     random_unitaries,
@@ -130,17 +130,17 @@ class TestIsotropic:
     def test_matches_uniform_pseudo_pure(self, d):
         alpha = 0.4
         u = np.full(d, 1 / math.sqrt(d))
-        direct = build_isotropic(d, alpha)
+        direct = build_pseudo_pure(isotropic_params(d, alpha))
         via_pp = build_pseudo_pure(PseudoPureParams(d, alpha, u))
         assert np.abs(direct.matrix - via_pp.matrix).max() <= 1e-14
 
     def test_maximally_entangled_at_alpha_one(self):
-        rho = build_isotropic(2, 1.0)
+        rho = build_pseudo_pure(isotropic_params(2, 1.0))
         phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
         assert_allclose(rho.matrix, np.outer(phi, phi), atol=1e-14)
 
     def test_white_noise_point(self):
-        rho = build_isotropic(3, 1.0 / 9)
+        rho = build_pseudo_pure(isotropic_params(3, 1.0 / 9))
         assert np.abs(rho.matrix - np.eye(9) / 9).max() <= 1e-12
 
 
