@@ -310,6 +310,7 @@ def _value_rows(family: str, d: int, values, results, method: str) -> str:
 def cmd_compute(parser, args) -> int:
     _require_schmidt(parser, args)
     _check_compute_flags(parser, args)
+    cfg = _optimizer_config(args) if args.numeric else None
     _check_out(args.out)
     family = FAMILIES[args.family]
     value = getattr(args, family.param)
@@ -322,7 +323,7 @@ def cmd_compute(parser, args) -> int:
     results = {"closed": [(m, fn(params)) for m, fn in zip(args.measures, fns)]}
     numeric = [m for m in args.measures if args.numeric and MEASURES[m].oracle is not None]
     if numeric:  # a state is built only for a measure with an oracle route
-        point = OraclePoint(family.state(params), _optimizer_config(args))
+        point = OraclePoint(family.state(params), cfg)
         results["numeric"] = [(m, MEASURES[m].oracle(point)) for m in numeric]
     if args.format == "json":
         head = (args.family, args.d, family.param, value)

@@ -13,11 +13,11 @@ the minimized value is therefore an upper bound on the discord. Every
 restart starts from a Haar-random basis with a deterministic per-restart
 seed and runs a saddle-free Newton descent on U(d) (Edelman, Arias & Smith,
 SIAM J. Matrix Anal. Appl. 20, 1998): the objectives' analytic gradients
-along the d(d-1) off-diagonal skew-Hermitian generators (column phases do
-not change a measurement), their analytic Hessian, a step along the
-eigenvectors of the real symmetric Hessian scaled by the inverse absolute
-eigenvalues, and an exponential retraction, until the gradient or the
-accepted step is within _STEP_TOLERANCE. A step's first trial rotates the
+along the d(d-1) off-diagonal skew-Hermitian generators of _generators
+(column phases do not change a measurement), their analytic Hessian, a step
+along the eigenvectors of the real symmetric Hessian scaled by the inverse
+absolute eigenvalues, and an exponential retraction, until the gradient or
+the accepted step is within _STEP_TOLERANCE. A step's first trial rotates the
 basis by at most pi, the injectivity radius of the exponential (Absil,
 Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
 ch. 4 and 7), and the line search halves it from there. The Hessian adds
@@ -28,9 +28,9 @@ block's eigensystem. It is built from the blocks, kernel data and gradient
 matrix that the evaluation of the accepted basis already computed, so it
 evaluates neither the blocks nor the kernel again. A generator E_m moves
 only two columns of a basis U, each to a multiple of another:
-U E_m e_k = c u_o. So every term is read from one table of off-diagonal
-blocks tau_ok = <u_o|rho|u_k>, operators on A: the moved block is
-dtau_km = conj(c) tau_ok + h.c., the cross terms are
+U E_m e_k = c u_o for a nonzero E_m[o, k] = c. So every term is read from
+one table of off-diagonal blocks tau_ok = <u_o|rho|u_k>, operators on A:
+the moved block is dtau_km = conj(c) tau_ok + h.c., the cross terms are
 conj(c_m) c_l tr(G_k tau_oo'), the basis term reads A at (o, o'), and the
 kernel term needs one rotation V_k^dagger tau_ok V_k per block, not one per
 generator; the Hessian is a fixed number of batched array operations.
@@ -94,6 +94,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -209,61 +211,49 @@ def measured_conditional_entropy(rho: DensityMatrix, basis) -> float:
 
 
 @functools.cache
-def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only indices (i, j), i < j, of the entries the generators at dimension d set."""
+def _generators(d: int) -> np.ndarray:
+    """The read-only (d(d-1), d, d) stack of the off-diagonal skew-Hermitian generators
+    E_m of U(d), the coordinates of the basis search: for the pairs i < j in
+    np.triu_indices order, first the real ones e_i e_j^T - e_j e_i^T, then the
+    imaginary ones i (e_i e_j^T + e_j e_i^T)."""
     i, j = np.triu_indices(d, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+    m = np.arange(i.size)
+    E = np.zeros((2, i.size, d, d), dtype=complex)
+    E[0, m, i, j], E[0, m, j, i] = 1.0, -1.0
+    E[1, m, i, j] = E[1, m, j, i] = 1j
+    E = E.reshape(-1, d, d)
+    E.flags.writeable = False
+    return E
 
 
 def _skew(s: np.ndarray, d: int) -> np.ndarray:
-    """sum_m s_m E_m, a d x d skew-Hermitian matrix, for each row s of coefficients.
-
-    The first half of a row holds the real parts of the entries (i, j),
-    i < j, the second half their imaginary parts; the diagonal is zero.
-    """
-    half = d * (d - 1) // 2
-    i, j = _pairs(d)
-    X = np.zeros((s.shape[0], d, d), dtype=complex)
-    X[:, i, j] = s[:, :half] + 1j * s[:, half:]
-    X[:, j, i] = -s[:, :half] + 1j * s[:, half:]
-    return X
+    """sum_m s_m E_m, a d x d skew-Hermitian matrix, for each row s of coefficients."""
+    return (s @ _generators(d).reshape(-1, d * d)).reshape(-1, d, d)
 
 
 @functools.cache
 def _hessian_plan(d: int):
     """Where _hessian places the entries 2 Re(conj(c) c' N1 + conj(c) conj(c') N2).
 
-    Row k of the (d, 2(d-1)) table (m, o, c) lists the generators m with
-    E_m e_k != 0 and the column o and coefficient c with E_m e_k = c e_o, so
-    that U E_m e_k = c u_o: the real generator of the pair i < j sends e_j to
-    e_i and e_i to -e_j, the imaginary one sends e_j to i e_i and e_i to i e_j.
-    For outcome k and the entries (m, o, c), (l, o', c') of row k,
-    conj(c) conj(c') is +-conj(c) c' and conj(c) c' is one of 1, -1, i, -i, so
-    the entry is a signed real or imaginary part of (N1 + N2)[k, o, o'] or of
-    (N1 - N2)[k, o, o']. Two generators on one pair share both of its columns,
-    so the entries come in two groups, by whether k is the smaller or the
-    larger column of m's pair, and no group adds to one H_ml twice. Returns,
-    per group, the read-only flat indices into the n x n H, into the real view
-    of the (2, d, d, d) stack of N1 + N2 and N1 - N2, and the factors.
+    Row k of the (d, 2(d-1)) table (m, o, c) lists the nonzeros E_m[o, k] = c
+    of the _generators, so that U E_m e_k = c u_o. For the entries (m, o, c),
+    (l, o', c') of row k, H_ml adds N1 and N2 at [k, o, o'] times 2 conj(c) c'
+    and 2 conj(c) conj(c'), each one of +-2 and +-2i, so every product is exact.
+    Two generators on one pair share both of its columns, so the entries come
+    in two groups, by whether k is the smaller or the larger column of m's
+    pair, and no group adds to one H_ml twice. Returns, per group, the
+    read-only flat indices into the n x n H and into the (d, d, d) N1 and N2,
+    and the two coefficients.
     """
-    half, n = d * (d - 1) // 2, d * (d - 1)
-    i, j = _pairs(d)
-    pair = np.zeros((d, d), dtype=int)
-    pair[i, j] = pair[j, i] = np.arange(half)
-    k, o = np.nonzero(~np.eye(d, dtype=bool))
-    k, o = k.reshape(d, d - 1)[:, :1], o.reshape(d, d - 1)
-    m = np.concatenate([pair[k, o], half + pair[k, o]], axis=1)
-    c = np.concatenate([np.where(o < k, 1.0, -1.0) + 0j, np.full((d, d - 1), 1j)], axis=1)
-    o = np.concatenate([o, o], axis=1)
-    a = c.conj()[:, :, None] * c[:, None, :]
-    which = (c.conj()[:, :, None] * c.conj()[:, None, :] != a).astype(int)  # 0: N1 + N2, 1: N1 - N2
-    imaginary = (a.real == 0).astype(int)  # Re(i X) = -Im X
-    factor = 2.0 * np.where(imaginary, -a.imag, a.real)
-    src = (((which * d + k[:, :, None]) * d + o[:, :, None]) * d + o[:, None, :]) * 2 + imaginary
-    dest = m[:, :, None] * n + m[:, None, :]
+    E = _generators(d)
+    k, m, o = (x.reshape(d, 2 * (d - 1)) for x in np.nonzero(E.transpose(2, 0, 1)))
+    c = E[m, o, k]
+    dest = m[:, :, None] * len(E) + m[:, None, :]
+    src = (k[:, :, None] * d + o[:, :, None]) * d + o[:, None, :]
+    a1 = 2.0 * c.conj()[:, :, None] * c[:, None, :]
+    a2 = 2.0 * c.conj()[:, :, None] * c.conj()[:, None, :]
     first = np.broadcast_to((o > k)[:, :, None], dest.shape)
-    plan = tuple((dest[g], src[g], factor[g]) for g in (first, ~first))
+    plan = tuple(tuple(x[g] for x in (dest, src, a1, a2)) for g in (first, ~first))
     for table in (x for group in plan for x in group):
         table.flags.writeable = False
     return plan
@@ -293,9 +283,8 @@ def _value_and_gradient(r2: np.ndarray, U: np.ndarray, value_of_blocks):
     tau, products = _measurement_blocks(r2, U)
     value, G, (V, L, c) = value_of_blocks(tau)
     A = _gradient_matrix(U, G, products)
-    i, j = _pairs(U.shape[1])
-    g = 2.0 * np.concatenate(
-        [(A[:, i, j] - A[:, j, i]).real, (A[:, i, j] + A[:, j, i]).imag], axis=1)
+    E = _generators(U.shape[1])
+    g = 2.0 * (A.reshape(len(A), -1) @ E.reshape(len(E), -1).conj().T).real
     return value, g, (products, G, V, L, c, A)
 
 
@@ -307,10 +296,11 @@ def _hessian(U: np.ndarray, data) -> np.ndarray:
     T(x, y)[a,c] = sum_bd conj(x_b) rho[(a,b),(c,d)] y_d, every term comes from
     the table tau_ok = T(u_o, u_k) of off-diagonal blocks, one matmul of
     U^dagger with `products`; the blocks of the measurement are tau_kk.
-    Generator m moves u_k to U E_m e_k = c u_o, with (m, o, c) an entry of row
-    k of _hessian_plan's table, so tau_kk moves by dtau_km = conj(c) tau_ok + h.c.,
-    whose trace is 2 Re(conj(c) tr tau_ok). H_ml sums over the outcomes k
-    that both m and l move, with (o, c) and (o', c') their entries in row k:
+    Generator m of _generators moves u_k to U E_m e_k = c u_o, with (m, o, c)
+    an entry of row k of _hessian_plan's table, so tau_kk moves by
+    dtau_km = conj(c) tau_ok + h.c., whose trace is 2 Re(conj(c) tr tau_ok).
+    H_ml sums over the outcomes k that both m and l move, with (o, c) and
+    (o', c') their entries in row k:
     - 2 Re(conj(c) c' tr(G_k tau_oo')), the cross term of the two first-order
       moves of u_k;
     - 2 Re tr((E_m E_l)^dagger A), the second derivative of the basis; E_m
@@ -324,6 +314,13 @@ def _hessian(U: np.ndarray, data) -> np.ndarray:
       part has the same form.
     So every entry is 2 Re(conj(c) c' N1 + conj(c) conj(c') N2) for two
     d x d matrices N1, N2 per outcome, and _hessian_plan places it.
+
+    Known edge: at a basis where an outcome's probability is at or below
+    ZERO_PROBABILITY, the conditional entropy is not twice differentiable, and
+    the Hessian leaves that outcome's term out (_ce_of_blocks gives it G_k = 0,
+    L_k = 0 and c_k = 0); the purity loss, a polynomial in the blocks, keeps
+    its Hessian. test_every_restart_converges_where_outcomes_drop covers the
+    search there.
     """
     products, G, V, L, c, A = data
     R, dB, dA = G.shape[:3]
@@ -347,13 +344,11 @@ def _hessian(U: np.ndarray, data) -> np.ndarray:
     gram = weighted @ both.reshape(R, dB, 2 * dB, dA * dA).swapaxes(-1, -2)
     del weighted, both
     scaled = c[..., None, None] * traces[..., :, None]
-    N1 = cross + gram[..., :dB] + scaled * traces.conj()[..., None, :]
-    N2 = gram[..., dB:] + scaled * traces[..., None, :]
-    entries = np.stack([N1 + N2, N1 - N2], axis=1).view(float).reshape(R, -1)
+    N1 = (cross + gram[..., :dB] + scaled * traces.conj()[..., None, :]).reshape(R, -1)
+    N2 = (gram[..., dB:] + scaled * traces[..., None, :]).reshape(R, -1)
     hessian = np.zeros((R, n * n))
-    (dest, src, factor), (dest2, src2, factor2) = _hessian_plan(dB)
-    hessian[:, dest] = entries[:, src] * factor
-    hessian[:, dest2] += entries[:, src2] * factor2
+    for dest, src, a1, a2 in _hessian_plan(dB):
+        hessian[:, dest] += (a1 * N1[:, src] + a2 * N2[:, src]).real
     return hessian.reshape(R, n, n)
 
 
@@ -542,6 +537,8 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     dmin, dmax = int(d_range[0]), int(d_range[1])
     if not 2 <= dmin <= dmax:
         raise ValueError(f"need 2 <= dmin <= dmax, got ({dmin}, {dmax})")

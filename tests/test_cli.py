@@ -756,6 +756,32 @@ class TestExitCodes:
                                   "--measures", "discord", "--numeric", "--restarts", "0"], capsys)
         assert (code, out, err) == (3, "", "qcorr: restarts must be >= 1\n")
 
+    bad_optimizer_flags = pytest.mark.parametrize("flag, message", [
+        (["--restarts", "0"], "restarts must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["restarts", "seed"])
+
+    @bad_optimizer_flags
+    @pytest.mark.parametrize("measures", [*cli.MEASURES, "eof,asymptote"])
+    def test_bad_optimizer_flag_is_domain_error_for_every_measure(self, measures, flag, message,
+                                                                  capsys, closed_calls):
+        # checked first, whether or not a measure has an oracle route or a Werner closed form
+        code, out, err = run_cli(["compute", "--family", "werner", "--d", "3", "--lambda", "0.3",
+                                  "--measures", measures, "--numeric", *flag], capsys)
+        assert (code, out, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
+
+    @bad_optimizer_flags
+    def test_oracle_compare_checks_optimizer_flags_first(self, flag, message, capsys,
+                                                         closed_calls):
+        code, out, err = run_cli(["oracle-compare", "--family", "werner", "--d", "2",
+                                  "--measure", "mi", "--start", "0", "--stop", "1",
+                                  "--step", "0.5", *flag], capsys)
+        assert (code, out, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
+
+    def test_negative_conjecture_seed_is_domain_error(self, capsys, closed_calls):
+        code, out, err = run_cli(["conjecture", "--samples", "5", "--seed", "-1"], capsys)
+        assert (code, out, err, closed_calls) == (3, "", "qcorr: seed must be >= 0\n", [])
+
 
 class TestGrid:
     def test_one_point_over_the_cap_is_rejected(self):

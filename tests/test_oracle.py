@@ -220,7 +220,7 @@ def per_outcome_hessian(r2, U, data):
     products, G, V, L, c, A = data
     R, dB, dA = G.shape[:3]
     n = dB * (dB - 1)
-    E = oracle._skew(np.eye(n), dB)
+    E = oracle._generators(dB)
     EA = (E.reshape(n * dB, dB) @ A).reshape(R, n, dB * dB)
     hessian = -2.0 * (EA @ E.reshape(n, dB * dB).conj().T).real
     Q = (G.swapaxes(-1, -2).reshape(R, dB, dA * dA) @ r2.reshape(dA * dA, dB * dB))
@@ -428,12 +428,27 @@ class TestNewtonDescent:
         E = oracle._expm(X)
         assert np.abs(E @ E.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
 
+    @pytest.mark.parametrize("d", range(2, oracle.MAX_MEASURED_DIM + 1))
+    def test_generators_span_the_off_diagonal_of_u_d(self, d):
+        E = oracle._generators(d)
+        n = d * (d - 1)
+        assert E.shape == (n, d, d)
+        assert np.array_equal(E, -E.conj().swapaxes(1, 2))
+        assert not np.einsum("mii->mi", E).any()
+        # <E_m, E_l> = tr(E_m^dagger E_l) = 2 delta_ml: n independent directions, the real
+        # dimension of the zero-diagonal skew-Hermitian matrices
+        assert np.array_equal(np.einsum("mab,lab->ml", E.conj(), E), 2.0 * np.eye(n))
+        assert not E.flags.writeable
+        assert oracle._generators(d) is E
+        assert np.array_equal(oracle._skew(np.eye(n), d), E)
+
     def test_hessian_plan_tables_are_read_only(self):
-        # the cache hands the same tables to every _hessian call at d; the generator rows
-        # they are built from are checked by test_hessian_equals_per_outcome_reference
+        # the cache hands the same tables to every _hessian call at d: per group the indices
+        # into H and into N1, N2 and the two coefficients. The generator rows they are read
+        # from are checked by test_hessian_equals_per_outcome_reference
         for d in range(2, oracle.MAX_MEASURED_DIM + 1):
             tables = [table for group in oracle._hessian_plan(d) for table in group]
-            assert len(tables) == 6
+            assert len(tables) == 8
             assert not any(table.flags.writeable for table in tables)
 
     @pytest.mark.parametrize("d", range(2, 9))
