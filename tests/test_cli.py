@@ -782,6 +782,42 @@ class TestExitCodes:
         code, out, err = run_cli(["conjecture", "--samples", "5", "--seed", "-1"], capsys)
         assert (code, out, err, closed_calls) == (3, "", "qcorr: seed must be >= 0\n", [])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["compute", "--family", "werner", "--d", "2", "--lambda", "0.5", "--measures", ","],
+         "qcorr compute: error: argument --measures: no measures given"),
+        (["compute", "--family", "werner", "--d", "2", "--lambda", "0.5",
+          "--measures", "discord,nosuch"],
+         "qcorr compute: error: argument --measures: unknown measure 'nosuch'; choose from "
+         "discord, cc, mi, gd, negativity, eof, asymptote"),
+        (["sweep", "--family", "werner", "--d", "2,x", "--start", "0", "--stop", "1",
+          "--step", "0.5", "--measures", "mi"],
+         "qcorr sweep: error: argument --d: bad integer list '2,x'"),
+        (["figure", "fig1", "--dims", ","],
+         "qcorr figure: error: argument --dims: empty integer list"),
+        (["compute", "--family", "pp", "--d", "2", "--alpha", "0.5", "--schmidt", "0.8,x",
+          "--measures", "mi"],
+         "qcorr compute: error: argument --schmidt: bad number list '0.8,x'"),
+    ], ids=["no-measures", "unknown-measure", "bad-int", "empty-int-list", "bad-number"])
+    def test_bad_list_is_usage_error(self, argv, message, capsys, closed_calls):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, closed_calls) == (2, "", [])
+        assert err.endswith(message + "\n")
+
+    @pytest.mark.parametrize("grid, message", [
+        (["--start", "0", "--stop", "1", "--step", "0"], "grid step must be positive"),
+        (["--start", "0", "--stop", "1", "--step=-0.5"], "grid step must be positive"),
+        (["--start", "1", "--stop", "0", "--step", "0.5"], "grid start must not exceed stop"),
+    ], ids=["zero-step", "negative-step", "reversed"])
+    @pytest.mark.parametrize("command", ["sweep", "oracle-compare"])
+    def test_bad_grid_is_domain_error(self, grid, message, command, tmp_path, capsys,
+                                      closed_calls):
+        measure = ["--measures", "mi"] if command == "sweep" else ["--measure", "mi"]
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli([command, "--family", "werner", "--d", "2", *measure, *grid,
+                                  "--out", str(path)], capsys)
+        assert (code, out, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
+        assert not path.exists()
+
 
 class TestGrid:
     def test_one_point_over_the_cap_is_rejected(self):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_density, random_hermitian
 from qcorr.linalg import (
+    entropy_of_spectrum,
     hermitian_eigensystem,
     partial_trace,
     partial_transpose,
@@ -127,6 +128,48 @@ class TestPartialTranspose:
         pt = partial_transpose(rho, (3, 3), "B")
         assert np.abs(pt - pt.conj().T).max() <= 1e-14
         assert abs(pt.trace() - 1.0) <= 1e-14
+
+
+class TestBipartiteValidation:
+    """partial_trace and partial_transpose reject the same inputs with the same messages."""
+
+    @pytest.fixture(params=[partial_trace, partial_transpose], ids=["trace", "transpose"])
+    def op(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("matrix, dims, side, message", [
+        (np.ones(4), (2, 2), "B", "state must be 2-dimensional, got shape (4,)"),
+        (np.ones((1, 4, 4)), (2, 2), "B", "state must be 2-dimensional, got shape (1, 4, 4)"),
+        (np.ones((4, 2)), (2, 2), "B", "state must be square, got shape (4, 2)"),
+        (np.eye(4), 4, "B", "dims must be a (dimA, dimB) pair, got 4"),
+        (np.eye(4), (2, 2, 1), "A", "dims must be a (dimA, dimB) pair, got (2, 2, 1)"),
+        (np.eye(4), (1, 4), "B", "local dimensions must be >= 2, got (1, 4)"),
+        (np.eye(4), (4, 1), "A", "local dimensions must be >= 2, got (4, 1)"),
+        (np.eye(4), (2, 2), "C", "side must be 'A' or 'B', got 'C'"),
+        (np.eye(4), (2, 2), "b", "side must be 'A' or 'B', got 'b'"),
+        (np.eye(4), (2, 2), None, "side must be 'A' or 'B', got None"),
+    ])
+    def test_rejects_with_message(self, op, matrix, dims, side, message):
+        with pytest.raises(ValueError) as info:
+            op(matrix, dims, side)
+        assert str(info.value) == message
+
+
+class TestEntropyOfSpectrum:
+    @pytest.mark.parametrize("spectrum", [[], [0.0], [0.0, 0.0], [1e-15, 5e-16, 0.0],
+                                          [-1e-11, 1e-16]])
+    def test_nothing_above_cutoff_is_positive_zero(self, spectrum):
+        value = entropy_of_spectrum(spectrum)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("spectrum", [[1.0], [1.0, 0.0, 0.0], [0.0, 1e-16, 1.0]])
+    def test_pure_spectrum_is_negative_zero(self, spectrum):
+        value = entropy_of_spectrum(spectrum)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="below -1e-10; not a state"):
+            entropy_of_spectrum([1.0, -2e-10])
 
 
 class TestVonNeumannEntropy:

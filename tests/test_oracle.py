@@ -716,6 +716,12 @@ class TestNegativityNumeric:
         rho = product_state(random_density(3, rng), random_density(3, rng), (3, 3))
         assert negativity_numeric(rho) <= 1e-12
 
+    def test_rejects_unequal_dimensions(self, rng):
+        rho = product_state(random_density(2, rng), random_density(3, rng), (2, 3))
+        with pytest.raises(ValueError) as info:
+            negativity_numeric(rho)
+        assert str(info.value) == "negativity is defined here for equal local dimensions"
+
     def test_matches_closed_form(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 5))

@@ -196,6 +196,17 @@ class TestHelpers:
         with pytest.raises(ValueError):
             normalized_schmidt([0.5, -0.5])
 
+    @pytest.mark.parametrize("values", [[0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_normalized_schmidt_rejects_all_zero(self, values):
+        with pytest.raises(ValueError, match="^Schmidt amplitudes must not all vanish$"):
+            normalized_schmidt(values)
+
+    @pytest.mark.parametrize("validate", [validate_schmidt, normalized_schmidt])
+    @pytest.mark.parametrize("values", [[1.0], [], [[1.0]]])
+    def test_schmidt_vector_needs_two_entries(self, validate, values):
+        with pytest.raises(ValueError, match="^Schmidt vector needs at least two entries$"):
+            validate(values)
+
     def test_flip_operator_swaps(self, rng):
         d = 3
         F = flip_operator(d)
