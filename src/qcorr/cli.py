@@ -9,9 +9,9 @@ back as the same float. Every stochastic path is seeded, so identical flags
 give byte-identical output. sweep checks its whole request first, then writes
 its rows one grid chunk at a time; the other commands write bounded output.
 
-Exit codes: 0 success, 2 usage, 3 domain, capability or output-file error,
-4 conjecture violation, 1 oracle-compare mismatch, 141 (128 + SIGPIPE) when
-the reader of stdout closes it early.
+Exit codes: 0 success, 2 usage, 3 domain, capability, memory or output-file
+error, 4 conjecture violation, 1 oracle-compare mismatch, 141 (128 + SIGPIPE)
+when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -527,7 +527,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"qcorr: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

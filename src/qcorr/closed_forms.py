@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .linalg import EVAL_ZERO_CUTOFF
+from .linalg import EVAL_ZERO_CUTOFF, _sum_xlog2
 from .states import PseudoPureParams, WernerParams, _check_unit, validate_schmidt
 
 LN2 = math.log(2.0)
@@ -60,24 +60,6 @@ def _plogq(p, q) -> np.ndarray:
 def _xlog2(x) -> np.ndarray:
     """x * log2(x) with 0 * log 0 = 0."""
     return _plogq(x, x)
-
-
-def _sum_xlog2(w: np.ndarray) -> np.ndarray:
-    """sum_i w_i log2 w_i along the last axis, over the entries above the
-    zero cutoff.
-
-    numpy sums each contiguous row pairwise, as it sums a 1-D array, so a row
-    with every entry above the cutoff is summed in place; a row with one at
-    or below it is filtered and summed on its own.
-    """
-    rows = w.reshape(-1, w.shape[-1])
-    full = (rows > EVAL_ZERO_CUTOFF).all(axis=1)
-    out = np.empty(len(rows))
-    out[full] = (rows[full] * np.log2(rows[full])).sum(axis=-1)
-    for i in np.flatnonzero(~full):
-        kept = rows[i][rows[i] > EVAL_ZERO_CUTOFF]
-        out[i] = (kept * np.log2(kept)).sum()
-    return out.reshape(w.shape[:-1])
 
 
 def _check_werner(d, lam) -> tuple[int, np.ndarray]:

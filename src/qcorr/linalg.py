@@ -27,15 +27,10 @@ EVAL_ZERO_CUTOFF = 1e-15
 MAX_MATRIX_SIDE = 4096
 
 
-def _as_matrix(M, name: str = "matrix") -> np.ndarray:
+def _as_square(M, name: str = "matrix") -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
-    return A
-
-
-def _as_square(M, name: str = "matrix") -> np.ndarray:
-    A = _as_matrix(M, name)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
     check_side(A.shape[0], name)
@@ -86,20 +81,24 @@ def hermitian_eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def _bipartite_view(rho, dims, side) -> np.ndarray:
+    """A validated bipartite operator as its (dA, dB, dA, dB) view, for a `side`
+    of "A" or "B"."""
+    A = _as_square(rho, "state")
+    dA, dB = check_bipartite_dims(A, dims)
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    return A.reshape(dA, dB, dA, dB)
+
+
 def partial_trace(rho, dims, side: str) -> np.ndarray:
     """Trace out subsystem `side` ("A" or "B") of a bipartite operator.
 
     partial_trace(rho, (dA, dB), "B") returns the reduced operator on A,
     of side dA; tracing over "A" returns the reduced operator on B.
     """
-    A = _as_square(rho, "state")
-    dA, dB = check_bipartite_dims(A, dims)
-    r4 = A.reshape(dA, dB, dA, dB)
-    if side == "B":
-        return np.einsum("abcb->ac", r4)
-    if side == "A":
-        return np.einsum("abad->bd", r4)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    r4 = _bipartite_view(rho, dims, side)
+    return np.einsum("abcb->ac" if side == "B" else "abad->bd", r4)
 
 
 def partial_transpose(rho, dims, side: str) -> np.ndarray:
@@ -108,16 +107,28 @@ def partial_transpose(rho, dims, side: str) -> np.ndarray:
     Preserves Hermiticity and trace; applying it twice on the same side
     returns the input exactly (it is an index permutation).
     """
-    A = _as_square(rho, "state")
-    dA, dB = check_bipartite_dims(A, dims)
-    r4 = A.reshape(dA, dB, dA, dB)
-    if side == "B":
-        out = r4.transpose(0, 3, 2, 1)
-    elif side == "A":
-        out = r4.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return np.ascontiguousarray(out).reshape(dA * dB, dA * dB)
+    r4 = _bipartite_view(rho, dims, side)
+    n = r4.shape[0] * r4.shape[1]
+    out = r4.transpose((0, 3, 2, 1) if side == "B" else (2, 1, 0, 3))
+    return np.ascontiguousarray(out).reshape(n, n)
+
+
+def _sum_xlog2(w: np.ndarray) -> np.ndarray:
+    """sum_i w_i log2 w_i along the last axis, over the entries above the
+    zero cutoff.
+
+    numpy sums each contiguous row pairwise, as it sums a 1-D array, so a row
+    with every entry above the cutoff is summed in place; a row with one at
+    or below it is filtered and summed on its own.
+    """
+    rows = w.reshape(-1, w.shape[-1])
+    full = (rows > EVAL_ZERO_CUTOFF).all(axis=1)
+    out = np.empty(len(rows))
+    out[full] = (rows[full] * np.log2(rows[full])).sum(axis=-1)
+    for i in np.flatnonzero(~full):
+        kept = rows[i][rows[i] > EVAL_ZERO_CUTOFF]
+        out[i] = (kept * np.log2(kept)).sum()
+    return out.reshape(w.shape[:-1])
 
 
 def entropy_of_spectrum(eigenvalues) -> float:
@@ -132,9 +143,7 @@ def entropy_of_spectrum(eigenvalues) -> float:
             f"spectrum has eigenvalue {w.min():.3e} below -{EVAL_NEG_TOL:g}; not a state"
         )
     w = w[w > EVAL_ZERO_CUTOFF]
-    if not w.size:
-        return 0.0
-    return float(-(w * np.log2(w)).sum())
+    return float(-_sum_xlog2(w)) if w.size else 0.0
 
 
 def von_neumann_entropy(rho) -> float:

@@ -158,6 +158,15 @@ def _blocks(rho: DensityMatrix, basis) -> np.ndarray:
     return _measurement_blocks(_paired_b_indices(rho), _check_basis(basis, rho.dims[1])[None])[0]
 
 
+def _outcomes(tau: np.ndarray):
+    """The outcome probabilities p_k = tr tau_k of a stack of blocks, the mask of
+    those above ZERO_PROBABILITY, and the blocks tau_k / p_k; a dropped outcome's
+    block is divided by 1."""
+    p = np.einsum("...kaa->...k", tau).real
+    keep = p > ZERO_PROBABILITY
+    return p, keep, tau / np.where(keep, p, 1.0)[..., None, None]
+
+
 def _ce_of_blocks(tau: np.ndarray):
     """Average conditional entropy sum_k p_k S(tau_k / p_k) in bits, per basis.
 
@@ -167,10 +176,8 @@ def _ce_of_blocks(tau: np.ndarray):
     conj(V_k^dagger H'_k V_k)_ij + c_k tr H_k tr H'_k for block derivatives H, H'.
     Dropped outcomes get G_k = 0, L_k = 0 and c_k = 0.
     """
-    p = np.einsum("rkaa->rk", tau).real
-    keep = p > ZERO_PROBABILITY
-    # dropped outcomes divide by 1 so that one eigensolve covers every block
-    w, V = np.linalg.eigh(tau / np.where(keep, p, 1.0)[..., None, None])
+    p, keep, blocks = _outcomes(tau)
+    w, V = np.linalg.eigh(blocks)  # one eigensolve covers every block, dropped ones included
     clipped = np.clip(w, EVAL_ZERO_CUTOFF, None)
     logs = np.where(keep[..., None], np.log2(clipped), 0.0)
     entropies = -np.where(w > EVAL_ZERO_CUTOFF, w * logs, 0.0).sum(axis=-1)
@@ -197,11 +204,9 @@ def _purity_loss(rho_purity: float, tau: np.ndarray):
 def conditional_ensemble(rho: DensityMatrix, basis) -> ConditionalEnsemble:
     """Measure side B of `rho` in `basis` (columns are the basis vectors)."""
     dA = rho.dims[0]
-    tau = _blocks(rho, basis)[0]
-    p = np.einsum("kaa->k", tau).real
-    kept = (p > ZERO_PROBABILITY)[:, None, None]
-    blocks = tau / np.where(kept, p[:, None, None], 1.0)
-    states = np.where(kept, (blocks + blocks.conj().swapaxes(1, 2)) / 2.0, np.eye(dA) / dA)
+    p, keep, blocks = _outcomes(_blocks(rho, basis)[0])
+    states = np.where(keep[:, None, None], (blocks + blocks.conj().swapaxes(1, 2)) / 2.0,
+                      np.eye(dA) / dA)
     return ConditionalEnsemble(p, tuple(states))
 
 

@@ -14,6 +14,7 @@ derived from its seed, so outputs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,14 @@ SCHMIDT_NORM_ATOL = 1e-9
 
 
 def _check_dimension(d) -> int:
+    """d as an int, or raise unless it is an integer >= 2 whose Werner products
+    d(d +- 1), which the closed forms divide by, are finite floats."""
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"local dimension must be an integer >= 2, got {d!r}")
-    return int(d)
+    d = int(d)
+    if d * (d + 1) > sys.float_info.max:
+        raise ValueError("local dimension too large: d(d+1) exceeds the float maximum")
+    return d
 
 
 def _check_unit(name: str, value) -> None:
@@ -230,7 +236,4 @@ def random_schmidt_vector(d: int, seed: int) -> np.ndarray:
     standard complex Gaussians, normalized and sorted descending."""
     d = _check_dimension(d)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    u = np.abs(z)
-    u /= np.linalg.norm(u)
-    return np.sort(u)[::-1].copy()
+    return normalized_schmidt(np.abs(rng.standard_normal(d) + 1j * rng.standard_normal(d)))

@@ -803,6 +803,57 @@ class TestExitCodes:
         assert (code, out, closed_calls) == (2, "", [])
         assert err.endswith(message + "\n")
 
+    # the largest d whose Werner products d(d +- 1) are finite floats
+    LARGEST_D = (math.isqrt(4 * int(sys.float_info.max) + 1) - 1) // 2
+
+    @pytest.mark.parametrize("d", [LARGEST_D + 1, 10**308, 10**309])
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "werner", "--lambda", "0.5", "--measures", "discord"],
+        ["compute", "--family", "werner", "--lambda", "0.5", "--measures", "mi"],
+        ["compute", "--family", "werner", "--lambda", "0.5", "--measures", "discord", "--numeric"],
+        ["sweep", "--family", "werner", "--start", "0", "--stop", "1", "--step", "0.5",
+         "--measures", "discord,cc,mi,eof,asymptote"],
+        ["oracle-compare", "--family", "werner", "--start", "0", "--stop", "1", "--step", "0.5",
+         "--measure", "mi"],
+        ["figure", "fig1", "--dims"],
+    ], ids=["compute-discord", "compute-mi", "compute-numeric", "sweep", "oracle-compare",
+            "figure"])
+    def test_dimension_beyond_float_arithmetic_is_domain_error(self, argv, d, tmp_path, capsys,
+                                                               closed_calls):
+        path = tmp_path / "x.csv"
+        dims = [str(d)] if argv[-1] == "--dims" else ["--d", str(d)]
+        code, out, err = run_cli([*argv, *dims, "--out", str(path)], capsys)
+        assert (code, out, closed_calls) == (3, "", [])
+        assert err == "qcorr: local dimension too large: d(d+1) exceeds the float maximum\n"
+        assert not path.exists()
+
+    def test_largest_dimension_gives_finite_werner_rows(self, capsys):
+        d = self.LARGEST_D
+        assert d * (d + 1) <= sys.float_info.max < (d + 1) * (d + 2)
+        code, out, err = run_cli(["compute", "--family", "werner", "--d", str(d), "--lambda",
+                                  "0.25", "--measures", "discord,cc,mi,eof,asymptote"], capsys)
+        assert (code, err) == (0, "")
+        rows = parse_records(out)
+        assert [r["measure"] for r in rows] == ["discord", "cc", "mi", "eof", "asymptote"]
+        assert all(math.isfinite(r["value"]) for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "isotropic", "--d", "1000000000000000", "--alpha", "0.5",
+         "--measures", "discord"],
+        ["sweep", "--family", "isotropic", "--d", "1000000000000000", "--start", "0",
+         "--stop", "1", "--step", "0.5", "--measures", "discord"],
+        ["figure", "fig4", "--dims", "1000000000000000"],
+        ["conjecture", "--samples", "3", "--dmin", "1000000000000000",
+         "--dmax", "1000000000000000"],
+    ], ids=["compute", "sweep", "figure", "conjecture"])
+    def test_dimension_beyond_memory_is_domain_error(self, argv, tmp_path, capsys):
+        # a Schmidt vector of 10^15 floats (7.1 PiB) cannot be allocated at all
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("qcorr: Unable to allocate ") and err.count("\n") == 1
+        assert not path.exists()
+
     @pytest.mark.parametrize("grid, message", [
         (["--start", "0", "--stop", "1", "--step", "0"], "grid step must be positive"),
         (["--start", "0", "--stop", "1", "--step=-0.5"], "grid step must be positive"),

@@ -25,6 +25,7 @@ from qcorr.states import (
     WernerParams,
     build_pseudo_pure,
     build_werner,
+    normalized_schmidt,
     random_schmidt_vector,
     random_unitaries,
 )
@@ -55,19 +56,24 @@ def _spectra():
 
 
 def _states():
-    """Fixed states and the bases each is measured in, one state with an outcome
-    of probability zero among them."""
+    """Fixed states and the bases each is measured in, with outcomes at or below
+    ZERO_PROBABILITY among them: of probability 0, and of about 5e-15, whose
+    block has an eigenvalue above the zero cutoff."""
     rng = np.random.default_rng(7)
     states = [
         build_werner(WernerParams(3, 0.8)),
         build_pseudo_pure(PseudoPureParams(4, 0.6, random_schmidt_vector(4, 3))),
         build_pseudo_pure(PseudoPureParams(2, 1.0, np.array([1.0, 0.0]))),
+        build_pseudo_pure(PseudoPureParams(2, 1.0, normalized_schmidt([1.0, 7e-8]))),
         DensityMatrix(random_density(12, rng), (3, 4)),
         DensityMatrix(random_density(12, rng), (4, 3)),
     ]
     for rho in states:
         dB = rho.dims[1]
-        yield rho, np.concatenate([np.eye(dB)[None], random_unitaries(dB, [[dB, r] for r in range(3)])])
+        turn = np.eye(dB)  # turns the first two vectors by 3e-8 rad: a dropped block off the diagonal
+        turn[:2, :2] = [[np.cos(3e-8), -np.sin(3e-8)], [np.sin(3e-8), np.cos(3e-8)]]
+        yield rho, np.concatenate([np.eye(dB)[None], turn[None],
+                                   random_unitaries(dB, [[dB, r] for r in range(3)])])
 
 
 class TestLibraryBits:
@@ -99,7 +105,7 @@ class TestLibraryBits:
                 oracle._measurement_blocks(oracle._paired_b_indices(rho), bases)[0])
             outputs += [value, G, V, L, c]
         assert _digest(outputs) == (
-            "6100212c063672747901b6a25bf43cf1e758cfe4af5cc8c635e6d801a91165ab")
+            "b293363fbc7af7ca9193f8d67aa6003f228131c97c466d22bcfd66d500897930")
 
     def test_conditional_ensemble(self):
         outputs = []
@@ -108,4 +114,4 @@ class TestLibraryBits:
                 ensemble = oracle.conditional_ensemble(rho, basis)
                 outputs += [ensemble.probabilities, *ensemble.conditional_states]
         assert _digest(outputs) == (
-            "d10bae6867110fd663dec4c675988a1dbf1acbe7801dd659038d8f7481b7f6c4")
+            "a3f020dd7d500146c07b8d843c8c0d7895ee968d383fa63de5cd2b0aa1f8c29e")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ class TestWerner:
             WernerParams(1, 0.5)
         with pytest.raises(ValueError):
             WernerParams(3, 1.2)
+
+    def test_dimension_bound_is_where_d_times_d_plus_one_overflows(self):
+        largest = (math.isqrt(4 * int(sys.float_info.max) + 1) - 1) // 2
+        assert largest * (largest + 1) <= sys.float_info.max < (largest + 1) * (largest + 2)
+        for d in (largest, np.int64(2**62)):  # d(d+1) of an int64 would wrap
+            assert WernerParams(d, 0.5).d == d
+        for d in (largest + 1, 10**308, 10**309):
+            with pytest.raises(ValueError, match=r"^local dimension too large: d\(d\+1\) "
+                                                 r"exceeds the float maximum$"):
+                WernerParams(d, 0.5)
 
 
 class TestPseudoPure:
