@@ -88,8 +88,8 @@ def validate_schmidt(u, d: int | None = None) -> np.ndarray:
 def normalized_schmidt(values) -> np.ndarray:
     """Rescale and sort raw nonnegative amplitudes into a valid Schmidt vector.
 
-    Opt-in helper (used by the CLI --normalize flag); out-of-tolerance input
-    is otherwise rejected rather than silently fixed.
+    Opt-in helper (used by the CLI --normalize flag and random_schmidt_vector);
+    out-of-tolerance input is otherwise rejected rather than silently fixed.
     """
     u = _amplitudes(values)
     u = np.ldexp(u, -np.frexp(u.max())[1])  # exact rescale: the norm cannot over- or underflow
