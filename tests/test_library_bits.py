@@ -18,7 +18,7 @@ import numpy as np
 
 from conftest import random_density
 from qcorr import oracle
-from qcorr.linalg import entropy_of_spectrum, partial_trace, partial_transpose
+from qcorr.linalg import entropy_of_spectrum, partial_trace, partial_transpose, purity
 from qcorr.states import (
     DensityMatrix,
     PseudoPureParams,
@@ -76,6 +76,19 @@ def _states():
                                    random_unitaries(dB, [[dB, r] for r in range(3)])])
 
 
+def _kernels(rho):
+    """The kernels of the discord and the gd search on `rho`."""
+    rho_purity = purity(rho.matrix)
+    return oracle._ce_of_blocks, lambda tau: oracle._purity_loss(rho_purity, tau)
+
+
+def _search_states(d: int, rng):
+    """A generic and a pseudo-pure state at d, and a product state sigma (x) |0><0|."""
+    return (DensityMatrix(random_density(d * d, rng), (d, d)),
+            build_pseudo_pure(PseudoPureParams(d, 0.6, random_schmidt_vector(d, 40 + d))),
+            DensityMatrix(np.kron(random_density(d, rng), np.diag(np.eye(d)[0])), (d, d)))
+
+
 class TestLibraryBits:
     def test_random_schmidt_vector(self):
         vectors = (random_schmidt_vector(d, seed)
@@ -115,3 +128,35 @@ class TestLibraryBits:
                 outputs += [ensemble.probabilities, *ensemble.conditional_states]
         assert _digest(outputs) == (
             "a3f020dd7d500146c07b8d843c8c0d7895ee968d383fa63de5cd2b0aa1f8c29e")
+
+    def test_hessian(self):
+        # the product state's outcomes 1.. drop in the standard basis, which is measured too
+        rng = np.random.default_rng(13)
+        outputs = []
+        for d in range(2, 9):
+            haar = random_unitaries(d, [[d, 100 + r] for r in range(5)])
+            for rho in _search_states(d, rng):
+                bases = np.concatenate([haar, np.eye(d, dtype=complex)[None]])
+                r2 = oracle._paired_b_indices(rho)
+                for kernel in _kernels(rho):
+                    outputs.append(oracle._hessian(
+                        bases, oracle._value_and_gradient(r2, bases, kernel)[2]))
+        assert _digest(outputs) == (
+            "d3c4544e8dc38a88d6db889c0cd0fbd3f93b73a629eac52f07d697c1e41b5fcd")
+
+    def test_basis_search(self):
+        # 48 searches of 4 restarts: per restart the value, the evaluations, and the argmin
+        # basis and the converged flag of the best
+        rng = np.random.default_rng(17)
+        outputs = []
+        for d in range(2, 8):
+            for rho in _search_states(d, rng)[:2]:
+                for kernel in _kernels(rho):
+                    for seed in (0, 5):
+                        result = oracle._minimize_over_bases(
+                            rho, oracle.OptimizerConfig(restarts=4, seed=seed), kernel)
+                        outputs += [np.array(result.per_restart_values),
+                                    np.array(result.evaluations, dtype=np.int64), result.argmin_basis,
+                                    np.array([result.converged], dtype=bool)]
+        assert _digest(outputs) == (
+            "4c55e013eed85c52f38185fefd519606ff5e14156a9d45d1dd42261f9dca601e")
