@@ -33,7 +33,7 @@ one table of off-diagonal blocks tau_ok = <u_o|rho|u_k>, operators on A:
 the moved block is dtau_km = conj(c) tau_ok + h.c., the cross terms are
 conj(c_m) c_l tr(G_k tau_oo'), the basis term reads A at (o, o'), and the
 kernel term needs one rotation V_k^dagger tau_ok V_k per block, not one per
-generator; the Hessian is a fixed number of batched array operations.
+generator; the Hessian is batched array operations and one np.bincount.
 The restarts' Haar starts come from one stacked QR, and the search runs in
 rounds: each evaluates every restart's pending trial in one batched call
 over a stack of bases, and a restart's result does not depend on the rows
@@ -244,22 +244,19 @@ def _hessian_plan(d: int):
     of the _generators, so that U E_m e_k = c u_o. For the entries (m, o, c),
     (l, o', c') of row k, H_ml adds N1 and N2 at [k, o, o'] times 2 conj(c) c'
     and 2 conj(c) conj(c'), each one of +-2 and +-2i, so every product is exact.
-    Two generators on one pair share both of its columns, so the entries come
-    in two groups, by whether k is the smaller or the larger column of m's
-    pair, and no group adds to one H_ml twice. Returns, per group, the
-    read-only flat indices into the n x n H and into the (d, d, d) N1 and N2,
-    and the two coefficients.
+    Returns the table in row order, k ascending, as four read-only flat arrays:
+    the indices into the n x n H and into the (d, d, d) N1 and N2, and the two
+    coefficients; np.bincount adds an H_ml's at most two entries in that order.
     """
     E = _generators(d)
     k, m, o = (x.reshape(d, 2 * (d - 1)) for x in np.nonzero(E.transpose(2, 0, 1)))
     c = E[m, o, k]
-    dest = m[:, :, None] * len(E) + m[:, None, :]
-    src = (k[:, :, None] * d + o[:, :, None]) * d + o[:, None, :]
-    a1 = 2.0 * c.conj()[:, :, None] * c[:, None, :]
-    a2 = 2.0 * c.conj()[:, :, None] * c.conj()[:, None, :]
-    first = np.broadcast_to((o > k)[:, :, None], dest.shape)
-    plan = tuple(tuple(x[g] for x in (dest, src, a1, a2)) for g in (first, ~first))
-    for table in (x for group in plan for x in group):
+    plan = tuple(table.ravel() for table in (
+        m[:, :, None] * len(E) + m[:, None, :],
+        (k[:, :, None] * d + o[:, :, None]) * d + o[:, None, :],
+        2.0 * c.conj()[:, :, None] * c[:, None, :],
+        2.0 * c.conj()[:, :, None] * c.conj()[:, None, :]))
+    for table in plan:
         table.flags.writeable = False
     return plan
 
@@ -318,7 +315,7 @@ def _hessian(U: np.ndarray, data) -> np.ndarray:
       Y_o with their conjugates and G2 with their transposes, and its trace
       part has the same form.
     So every entry is 2 Re(conj(c) c' N1 + conj(c) conj(c') N2) for two
-    d x d matrices N1, N2 per outcome, and _hessian_plan places it.
+    d x d matrices N1, N2 per outcome; one bincount places all in plan order.
 
     Known edge: at a basis where an outcome's probability is at or below
     ZERO_PROBABILITY, the conditional entropy is not twice differentiable, and
@@ -351,10 +348,10 @@ def _hessian(U: np.ndarray, data) -> np.ndarray:
     scaled = c[..., None, None] * traces[..., :, None]
     N1 = (cross + gram[..., :dB] + scaled * traces.conj()[..., None, :]).reshape(R, -1)
     N2 = (gram[..., dB:] + scaled * traces[..., None, :]).reshape(R, -1)
-    hessian = np.zeros((R, n * n))
-    for dest, src, a1, a2 in _hessian_plan(dB):
-        hessian[:, dest] += (a1 * N1[:, src] + a2 * N2[:, src]).real
-    return hessian.reshape(R, n, n)
+    dest, src, a1, a2 = _hessian_plan(dB)
+    entries = (a1 * N1[:, src] + a2 * N2[:, src]).real  # summed per H_ml in the plan's order
+    return np.bincount((np.arange(R)[:, None] * n * n + dest).ravel(), entries.ravel(),
+                       R * n * n).reshape(R, n, n)
 
 
 def _newton_descent(U: np.ndarray, r2: np.ndarray, value_of_blocks):

@@ -443,12 +443,12 @@ class TestNewtonDescent:
         assert np.array_equal(oracle._skew(np.eye(n), d), E)
 
     def test_hessian_plan_tables_are_read_only(self):
-        # the cache hands the same tables to every _hessian call at d: per group the indices
-        # into H and into N1, N2 and the two coefficients. The generator rows they are read
-        # from are checked by test_hessian_equals_per_outcome_reference
+        # the cache hands the same tables to every _hessian call at d: the indices into H and
+        # into N1, N2 and the two coefficients. The generator rows they are read from are
+        # checked by test_hessian_equals_per_outcome_reference
         for d in range(2, oracle.MAX_MEASURED_DIM + 1):
-            tables = [table for group in oracle._hessian_plan(d) for table in group]
-            assert len(tables) == 8
+            tables = oracle._hessian_plan(d)
+            assert len(tables) == 4
             assert not any(table.flags.writeable for table in tables)
 
     @pytest.mark.parametrize("d", range(2, 9))
