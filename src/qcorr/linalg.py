@@ -40,7 +40,8 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
 def check_side(side: int, name: str = "matrix") -> None:
     """Raise ValueError if a square matrix of this side lies outside the dense envelope."""
     if side > MAX_MATRIX_SIDE:
-        raise ValueError(f"{name} side {side} exceeds the dense envelope {MAX_MATRIX_SIDE}")
+        shown = f"{side:.3e}" if side >= 10**15 else side
+        raise ValueError(f"{name} side {shown} exceeds the dense envelope {MAX_MATRIX_SIDE}")
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -539,11 +539,10 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    cross_check = OptimizerConfig(restarts=4, seed=seed)
     dmin, dmax = int(d_range[0]), int(d_range[1])
-    if not 2 <= dmin <= dmax:
-        raise ValueError(f"need 2 <= dmin <= dmax, got ({dmin}, {dmax})")
+    if not 2 <= dmin <= dmax < 2**63 - 1:  # d is drawn as an int64 below dmax + 1
+        raise ValueError(f"need 2 <= dmin <= dmax < 2**63 - 1, got ({dmin}, {dmax})")
 
     rng = np.random.default_rng(seed)
     min_gap = math.inf
@@ -567,7 +566,7 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
             violations += 1
         if index % 20 == 0 and d <= MAX_MEASURED_DIM:
             rho = build_pseudo_pure(params)
-            cfg = OptimizerConfig(restarts=4, seed=int(np.random.SeedSequence([seed, index]).generate_state(1)[0]))
+            cfg = replace(cross_check, seed=int(np.random.SeedSequence([seed, index]).generate_state(1)[0]))
             max_gd_gap = max(max_gd_gap, abs(gd_numeric(rho, cfg) - gd))
             max_neg_gap = max(max_neg_gap, abs(negativity_numeric(rho) - neg))
             checked += 1

@@ -430,17 +430,26 @@ class TestOracleCompare:
         (["oracle-compare", "--family", "isotropic", "--d", "65", "--measure", "negativity",
           "--start", "0.5", "--stop", "0.5", "--step", "0.1"],
          "state side 4225 exceeds the dense envelope 4096"),
+        # a side of more than 15 digits is named in scientific form, not with all its digits
+        (["compute", "--family", "werner", "--d", str(10**100), "--lambda", "0.5",
+          "--measures", "discord", "--numeric"],
+         "state side 1.000e+200 exceeds the dense envelope 4096"),
+        (["compute", "--family", "werner", "--d", str(10**154), "--lambda", "0.5",
+          "--measures", "discord", "--numeric"],
+         "state side 1.000e+308 exceeds the dense envelope 4096"),
     ])
-    def test_envelope_is_checked_before_any_state_is_built(self, args, message, capsys,
-                                                          monkeypatch):
+    def test_envelope_is_checked_before_any_state_is_built(self, args, message, tmp_path,
+                                                          capsys, monkeypatch):
         # building a state at d = 50 took 9.9 s and 507 MB before the oracle refused it
         def refuse(params):
             raise AssertionError("state built")
 
         monkeypatch.setattr(cli, "build_werner", refuse)
         monkeypatch.setattr(cli, "build_pseudo_pure", refuse)
-        code, out, err = run_cli(args, capsys)
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli([*args, "--out", str(path)], capsys)
         assert (code, out, err) == (3, "", f"qcorr: {message}\n")
+        assert not path.exists()
 
     def test_mutual_information_is_numeric_beyond_the_optimization_envelope(self, capsys):
         code, out, _ = run_cli(["compute", "--family", "isotropic", "--d", "9", "--alpha", "0.3",
@@ -781,6 +790,19 @@ class TestExitCodes:
     def test_negative_conjecture_seed_is_domain_error(self, capsys, closed_calls):
         code, out, err = run_cli(["conjecture", "--samples", "5", "--seed", "-1"], capsys)
         assert (code, out, err, closed_calls) == (3, "", "qcorr: seed must be >= 0\n", [])
+
+    @pytest.mark.parametrize("dims", [
+        ("1", "6"), ("5", "4"), ("2", "100000000000000000000"),
+        (str(2**63 - 1), str(2**63 - 1)),
+    ], ids=["below-2", "reversed", "beyond-int64", "int64-max"])
+    def test_conjecture_range_is_domain_error(self, dims, tmp_path, capsys, closed_calls):
+        # d is drawn as an int64 below dmax + 1; past that bound numpy raised its own errors
+        path = tmp_path / "x.json"
+        code, out, err = run_cli(["conjecture", "--samples", "3", "--dmin", dims[0],
+                                  "--dmax", dims[1], "--out", str(path)], capsys)
+        message = f"need 2 <= dmin <= dmax < 2**63 - 1, got ({dims[0]}, {dims[1]})"
+        assert (code, out, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
+        assert not path.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["compute", "--family", "werner", "--d", "2", "--lambda", "0.5", "--measures", ","],
