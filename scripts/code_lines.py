@@ -1,9 +1,11 @@
-"""Print the lines and code lines of each module of src/qcorr, and their totals.
+"""Print the lines and code lines of each module of src/qcorr, and their totals,
+then the totals of the tests/ and perfbench/ trees of the same checkout.
 
 A code line is a line that is not blank, not a comment and not part of a
 docstring (the string that opens a module, class or function). Run from
 anywhere: python scripts/code_lines.py [DIRECTORY], DIRECTORY defaulting to
-the package next to this script.
+the package next to this script; tests/ and perfbench/ are read two levels
+above DIRECTORY.
 """
 
 import ast
@@ -38,6 +40,9 @@ def main(argv: list[str]) -> int:
         total_lines, total_code = total_lines + lines, total_code + code
         print(f"{path.name:<20}{lines:>8}{code:>8}")
     print(f"{'total':<20}{total_lines:>8}{total_code:>8}")
+    for tree in ("tests", "perfbench"):
+        counts = [count(path.read_text()) for path in sorted((root.resolve().parents[1] / tree).glob("*.py"))]
+        print(f"{tree + '/ total':<20}{sum(c[0] for c in counts):>8}{sum(c[1] for c in counts):>8}")
     return 0
 
 
