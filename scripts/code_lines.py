@@ -40,8 +40,9 @@ def main(argv: list[str]) -> int:
         total_lines, total_code = total_lines + lines, total_code + code
         print(f"{path.name:<20}{lines:>8}{code:>8}")
     print(f"{'total':<20}{total_lines:>8}{total_code:>8}")
+    checkout = root.resolve().parents[1]
     for tree in ("tests", "perfbench"):
-        counts = [count(path.read_text()) for path in sorted((root.resolve().parents[1] / tree).glob("*.py"))]
+        counts = [count(path.read_text()) for path in sorted((checkout / tree).glob("*.py"))]
         print(f"{tree + '/ total':<20}{sum(c[0] for c in counts):>8}{sum(c[1] for c in counts):>8}")
     return 0
 
