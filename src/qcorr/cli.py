@@ -47,8 +47,6 @@ EXIT_DOMAIN = 3
 EXIT_VIOLATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer that SIGPIPE ended
 
-# Largest parameter grid sweep and oracle-compare accept, checked before building it.
-MAX_GRID_POINTS = 10**6
 # sweep, figure and oracle-compare call each closed form on
 # max(1, _CHUNK_FLOATS // d) grid values at a time: an array call holds
 # O(values * d), so memory stays O(d + chunk) at any d.
@@ -198,8 +196,7 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
     if start > stop:
         raise ValueError("grid start must not exceed stop")
     intervals = (stop - start) / step + 1e-9
-    if intervals >= MAX_GRID_POINTS:
-        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+    linalg.check_envelope("grid points", np.floor(intervals) + 1)  # inf when the span overflows
     points = np.minimum(start + np.arange(int(intervals) + 1) * step, stop)
     if stop - points[-1] <= 1e-9 * step:
         points[-1] = stop  # admitted by the slack above, so it stands for stop
@@ -210,9 +207,9 @@ def _check_envelope(d: int, measures: list[str]) -> None:
     """Raise the error the oracle raises for `measures` at dimension d, before
     any state is built: every state is a dense d^2 x d^2 matrix, and a measure
     that optimizes searches bases of a d-dimensional side."""
-    linalg.check_side(d * d, "state")
+    linalg.check_envelope("state side", d * d)
     if any(MEASURES[m].optimizes for m in measures):
-        oracle.check_measured_dimension(d)
+        linalg.check_envelope("measured dimension", d)
 
 
 def _require_schmidt(parser: argparse.ArgumentParser, args) -> None:

@@ -7,8 +7,9 @@ in bits throughout the package (a single convention, not an option), with
 
 Matrices are plain complex numpy arrays; a bipartite operator of local
 dimensions (dA, dB) lives on a square array of side dA * dB with row-major
-(A-major) index ordering. Dense double precision only; the supported
-envelope is matrix side <= 4096.
+(A-major) index ordering. Dense double precision only. ENVELOPE holds every
+memory limit of the package, the largest matrix side among them, and
+check_envelope is the one check of each.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ TRACE_ATOL = 1e-9
 EVAL_NEG_TOL = 1e-10
 EVAL_ZERO_CUTOFF = 1e-15
 
-MAX_MATRIX_SIDE = 4096
+# The envelope: row -> the largest size a request may ask of it. Each row is checked
+# by check_envelope before the work it bounds: no state is built or file written first.
+ENVELOPE = {
+    "state side": 4096,  # of a dense complex matrix, 256 MiB at this side
+    "measured dimension": 8,  # of the basis search's side
+    "grid points": 10**6,  # of a sweep or oracle-compare grid
+}
 
 
 def _as_square(M, name: str = "matrix") -> np.ndarray:
@@ -33,15 +40,17 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    check_side(A.shape[0], name)
+    check_envelope("state side", A.shape[0])
     return A
 
 
-def check_side(side: int, name: str = "matrix") -> None:
-    """Raise ValueError if a square matrix of this side lies outside the dense envelope."""
-    if side > MAX_MATRIX_SIDE:
-        shown = f"{side:.3e}" if side >= 10**15 else side
-        raise ValueError(f"{name} side {shown} exceeds the dense envelope {MAX_MATRIX_SIDE}")
+def check_envelope(row: str, size) -> None:
+    """Raise ValueError if `size` exceeds the ENVELOPE limit of `row`; the message
+    names the row, the size (in scientific form past 15 digits) and the limit."""
+    if size > ENVELOPE[row]:
+        from decimal import Decimal  # formats an int too large for a float, on this path only
+        shown = f"{Decimal(size):.3e}" if size >= 10**15 else int(size)
+        raise ValueError(f"{row} {shown} exceeds the envelope {ENVELOPE[row]}")
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:

@@ -50,7 +50,9 @@ import numpy as np
 
 from . import closed_forms
 from .linalg import (
+    ENVELOPE,
     EVAL_ZERO_CUTOFF,
+    check_envelope,
     hermitian_eigensystem,
     partial_trace,
     partial_transpose,
@@ -65,7 +67,6 @@ from .states import (
     random_unitaries,
 )
 
-MAX_MEASURED_DIM = 8
 ZERO_PROBABILITY = 1e-14
 BASIS_ORTHONORMALITY_ATOL = 1e-10
 DEGENERACY_GAP_ATOL = 1e-10
@@ -405,19 +406,10 @@ def _newton_descent(U: np.ndarray, r2: np.ndarray, value_of_blocks):
     return value, U, evaluations, steps < _MAX_ITERATIONS
 
 
-def check_measured_dimension(dB: int) -> None:
-    """Raise ValueError if a basis search over a measured side of dimension dB
-    lies outside the optimization envelope."""
-    if dB > MAX_MEASURED_DIM:
-        raise ValueError(
-            f"measured dimension {dB} exceeds the optimization envelope {MAX_MEASURED_DIM}"
-        )
-
-
 def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_blocks) -> OptimizerResult:
     """Multi-start Newton descent of a blocks functional over projective bases."""
     dB = rho.dims[1]
-    check_measured_dimension(dB)
+    check_envelope("measured dimension", dB)
     bases = random_unitaries(dB, [[cfg.seed, r] for r in range(cfg.restarts)])
     values, bases, evaluations, converged = _newton_descent(
         bases, _paired_b_indices(rho), value_of_blocks)
@@ -535,7 +527,7 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
     Draws d uniformly in d_range, alpha uniformly in [0, 1] and a Haar
     Schmidt vector per sample; evaluates the closed forms for every sample
     and additionally cross-checks the matrix-based pair on a deterministic
-    5% subset (every 20th sample within the optimization envelope).
+    5% subset (every 20th sample whose d is within the measured-dimension envelope).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -564,7 +556,7 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
             worst = params
         if gap < -CONJECTURE_GAP_TOL:
             violations += 1
-        if index % 20 == 0 and d <= MAX_MEASURED_DIM:
+        if index % 20 == 0 and d <= ENVELOPE["measured dimension"]:
             rho = build_pseudo_pure(params)
             cfg = replace(cross_check, seed=int(np.random.SeedSequence([seed, index]).generate_state(1)[0]))
             max_gd_gap = max(max_gd_gap, abs(gd_numeric(rho, cfg) - gd))

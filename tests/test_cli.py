@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcorr import cli
+from qcorr import cli, linalg
 from qcorr import closed_forms as cf
 from qcorr import oracle
 from qcorr.states import PseudoPureParams, WernerParams, random_schmidt_vector
@@ -416,27 +416,27 @@ class TestOracleCompare:
     @pytest.mark.parametrize("args, message", [
         (["compute", "--family", "werner", "--d", "50", "--lambda", "0.3",
           "--measures", "mi,discord", "--numeric"],
-         "measured dimension 50 exceeds the optimization envelope 8"),
+         "measured dimension 50 exceeds the envelope 8"),
         (["compute", "--family", "isotropic", "--d", "50", "--alpha", "0.3",
           "--measures", "negativity,gd", "--numeric"],
-         "measured dimension 50 exceeds the optimization envelope 8"),
+         "measured dimension 50 exceeds the envelope 8"),
         (["oracle-compare", "--family", "pp", "--d", "50", "--normalize",
           "--schmidt", ",".join(["1"] * 50), "--measure", "cc",
           "--start", "0.5", "--stop", "0.5", "--step", "0.1"],
-         "measured dimension 50 exceeds the optimization envelope 8"),
+         "measured dimension 50 exceeds the envelope 8"),
         (["compute", "--family", "werner", "--d", "65", "--lambda", "0.3",
           "--measures", "mi", "--numeric"],
-         "state side 4225 exceeds the dense envelope 4096"),
+         "state side 4225 exceeds the envelope 4096"),
         (["oracle-compare", "--family", "isotropic", "--d", "65", "--measure", "negativity",
           "--start", "0.5", "--stop", "0.5", "--step", "0.1"],
-         "state side 4225 exceeds the dense envelope 4096"),
+         "state side 4225 exceeds the envelope 4096"),
         # a side of more than 15 digits is named in scientific form, not with all its digits
         (["compute", "--family", "werner", "--d", str(10**100), "--lambda", "0.5",
           "--measures", "discord", "--numeric"],
-         "state side 1.000e+200 exceeds the dense envelope 4096"),
+         "state side 1.000e+200 exceeds the envelope 4096"),
         (["compute", "--family", "werner", "--d", str(10**154), "--lambda", "0.5",
           "--measures", "discord", "--numeric"],
-         "state side 1.000e+308 exceeds the dense envelope 4096"),
+         "state side 1.000e+308 exceeds the envelope 4096"),
     ])
     def test_envelope_is_checked_before_any_state_is_built(self, args, message, tmp_path,
                                                           capsys, monkeypatch):
@@ -621,7 +621,7 @@ class TestExitCodes:
             capsys,
         )
         assert (code, out) == (3, "")
-        assert f"more than {cli.MAX_GRID_POINTS} points" in err
+        assert err == "qcorr: grid points Infinity exceeds the envelope 1000000\n"
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--lambda", "0.5", "--measures", "discord"],
@@ -893,13 +893,16 @@ class TestExitCodes:
 
 
 class TestGrid:
+    CAP = linalg.ENVELOPE["grid points"]
+
     def test_one_point_over_the_cap_is_rejected(self):
-        with pytest.raises(ValueError, match="more than"):
-            cli._grid(0.0, 1.0, 1.0 / cli.MAX_GRID_POINTS)
+        message = f"^grid points {self.CAP + 1} exceeds the envelope {self.CAP}$"
+        with pytest.raises(ValueError, match=message):
+            cli._grid(0.0, 1.0, 1.0 / self.CAP)
 
     def test_cap_itself_is_accepted(self):
-        grid = cli._grid(0.0, 1.0, 1.0 / (cli.MAX_GRID_POINTS - 1))
-        assert len(grid) == cli.MAX_GRID_POINTS
+        grid = cli._grid(0.0, 1.0, 1.0 / (self.CAP - 1))
+        assert len(grid) == self.CAP
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("start, stop, step", [
@@ -928,8 +931,61 @@ class TestGrid:
 
     @pytest.mark.parametrize("args", [(-1e308, 1e308, 1.0), (0.0, 1e300, 1e-300)])
     def test_overflowing_span_rejected(self, args):
-        with pytest.raises(ValueError, match="more than"):
+        with pytest.raises(ValueError, match="^grid points Infinity exceeds the envelope"):
             cli._grid(*args)
+
+
+class Reached(Exception):
+    """Raised by a patched function in place of the work an envelope row bounds."""
+
+
+def _reach(*args, **kwargs):
+    raise Reached
+
+
+# Envelope row -> ((module, name) of the function that starts the work the row bounds,
+# the request at a parameter n, and the largest n inside the limit). Both requests stop
+# at that function: the one at n + 1 must exit 3 before it.
+ENVELOPE_REQUESTS = {
+    "state side": (
+        (cli, "build_werner"),
+        lambda d: ["compute", "--family", "werner", "--d", str(d), "--lambda", "0.3",
+                   "--measures", "mi", "--numeric"],
+        math.isqrt),
+    "measured dimension": (
+        (cli, "build_werner"),
+        lambda d: ["compute", "--family", "werner", "--d", str(d), "--lambda", "0.3",
+                   "--measures", "discord", "--numeric"],
+        lambda limit: limit),
+    "grid points": (
+        (cli, "WernerParams"),
+        lambda n: ["sweep", "--family", "werner", "--d", "2", "--measures", "mi",
+                   "--start", "0", "--stop", "1", "--step", repr(1.0 / (n - 1))],
+        lambda limit: limit),
+}
+
+
+class TestEnvelope:
+    def test_every_row_has_requests(self):
+        assert set(ENVELOPE_REQUESTS) == set(linalg.ENVELOPE)
+
+    @pytest.mark.parametrize("row", ENVELOPE_REQUESTS)
+    def test_request_inside_reaches_the_work(self, row, monkeypatch):
+        (module, name), argv, largest = ENVELOPE_REQUESTS[row]
+        monkeypatch.setattr(module, name, _reach)
+        with pytest.raises(Reached):
+            cli.main(argv(largest(linalg.ENVELOPE[row])))
+
+    @pytest.mark.parametrize("row", ENVELOPE_REQUESTS)
+    def test_request_outside_exits_3_before_the_work(self, row, monkeypatch, tmp_path, capsys):
+        (module, name), argv, largest = ENVELOPE_REQUESTS[row]
+        monkeypatch.setattr(module, name, _reach)
+        limit = linalg.ENVELOPE[row]
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli([*argv(largest(limit) + 1), "--out", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"qcorr: {row} ") and err.endswith(f" exceeds the envelope {limit}\n")
+        assert not path.exists()
 
 
 class TestMeasureTable:
@@ -970,6 +1026,8 @@ class TestMeasureTable:
         assert f"Werner supports `{names('werner')}`" in readme
         assert f"pseudo-pure and isotropic support `{names('pp')}`" in readme
         assert f"`--numeric` adds oracle rows for `{names('oracle')}`" in readme
+        for row, limit in linalg.ENVELOPE.items():
+            assert f"| `{row}` | {limit} |" in readme
 
     def test_readme_quick_start_runs(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from conftest import random_density, random_hermitian
 from qcorr.linalg import (
+    ENVELOPE,
+    check_envelope,
     entropy_of_spectrum,
     hermitian_eigensystem,
     partial_trace,
@@ -51,6 +53,28 @@ class TestHermitianEigensystem:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("row", ENVELOPE)
+    def test_limit_is_inside_and_one_more_is_named(self, row):
+        limit = ENVELOPE[row]
+        check_envelope(row, limit)
+        with pytest.raises(ValueError, match=f"^{row} {limit + 1} exceeds the envelope {limit}$"):
+            check_envelope(row, limit + 1)
+
+    @pytest.mark.parametrize("size, shown", [
+        (10**15 - 1, "999999999999999"), (10**15, "1.000e+15"), (2**63 - 2, "9.223e+18"),
+        (10**400, "1.000e+400"), (math.inf, "Infinity"),
+    ])
+    def test_size_past_15_digits_is_named_in_scientific_form(self, size, shown):
+        with pytest.raises(ValueError) as error:
+            check_envelope("state side", size)
+        assert str(error.value) == f"state side {shown} exceeds the envelope 4096"
+
+    def test_matrix_side_is_checked_before_its_eigensolve(self):
+        with pytest.raises(ValueError, match="^state side 4097 exceeds the envelope 4096$"):
+            hermitian_eigensystem(np.zeros((4097, 4097)))
 
 
 class TestPartialTrace:

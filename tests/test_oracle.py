@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from conftest import random_density
 from qcorr import closed_forms as cf
 from qcorr import oracle
-from qcorr.linalg import partial_trace, purity, von_neumann_entropy
+from qcorr.linalg import ENVELOPE, partial_trace, purity, von_neumann_entropy
 from qcorr.oracle import (
     ConjectureReport,
     OptimizerConfig,
@@ -428,7 +428,7 @@ class TestNewtonDescent:
         E = oracle._expm(X)
         assert np.abs(E @ E.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
 
-    @pytest.mark.parametrize("d", range(2, oracle.MAX_MEASURED_DIM + 1))
+    @pytest.mark.parametrize("d", range(2, ENVELOPE["measured dimension"] + 1))
     def test_generators_span_the_off_diagonal_of_u_d(self, d):
         E = oracle._generators(d)
         n = d * (d - 1)
@@ -446,7 +446,7 @@ class TestNewtonDescent:
         # the cache hands the same tables to every _hessian call at d: the indices into H and
         # into N1, N2 and the two coefficients. The generator rows they are read from are
         # checked by test_hessian_equals_per_outcome_reference
-        for d in range(2, oracle.MAX_MEASURED_DIM + 1):
+        for d in range(2, ENVELOPE["measured dimension"] + 1):
             tables = oracle._hessian_plan(d)
             assert len(tables) == 4
             assert not any(table.flags.writeable for table in tables)
