@@ -203,13 +203,14 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
     return points
 
 
-def _check_envelope(d: int, measures: list[str]) -> None:
+def _check_envelope(d: int, measures: list[str], cfg: oracle.OptimizerConfig) -> None:
     """Raise the error the oracle raises for `measures` at dimension d, before
-    any state is built: every state is a dense d^2 x d^2 matrix, and a measure
-    that optimizes searches bases of a d-dimensional side."""
+    any state is built or start drawn: every state is a dense d^2 x d^2 matrix,
+    and a measure that optimizes searches cfg.restarts bases of a d-dimensional side."""
     linalg.check_envelope("state side", d * d)
     if any(MEASURES[m].optimizes for m in measures):
         linalg.check_envelope("measured dimension", d)
+        linalg.check_envelope("basis search entries", cfg.restarts * d**4)
 
 
 def _require_schmidt(parser: argparse.ArgumentParser, args) -> None:
@@ -316,7 +317,7 @@ def cmd_compute(parser, args) -> int:
     fns = _closed_fns(args.family, args.measures)
     params = family.params(args.d, value, _schmidt_vector(args))
     if args.numeric:
-        _check_envelope(args.d, args.measures)
+        _check_envelope(args.d, args.measures, cfg)
     results = {"closed": [(m, fn(params)) for m, fn in zip(args.measures, fns)]}
     numeric = [m for m in args.measures if args.numeric and MEASURES[m].oracle is not None]
     if numeric:  # a state is built only for a measure with an oracle route
@@ -409,7 +410,7 @@ def cmd_oracle_compare(parser, args) -> int:
     cfg = _optimizer_config(args)
     grid = _grid(args.start, args.stop, args.step)
     family.params(d, grid, u)  # every grid value, before the first point
-    _check_envelope(d, [measure])
+    _check_envelope(d, [measure], cfg)
     closed = _closed_column(args.family, d, grid, u, closed_fn)
     points = (OraclePoint(family.state(family.params(d, x, u)), cfg) for x in grid.tolist())
     numeric = np.array([MEASURES[measure].oracle(point) for point in points])

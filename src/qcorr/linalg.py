@@ -31,6 +31,9 @@ ENVELOPE = {
     "state side": 4096,  # of a dense complex matrix, 256 MiB at this side
     "measured dimension": 8,  # of the basis search's side
     "grid points": 10**6,  # of a sweep or oracle-compare grid
+    # R dB^2 dA^2, the entries of each complex table the basis search holds for R restarts:
+    # a search peaks at 120-180 B per entry (d = 2-8), so 256 B per entry keeps it in 1 GiB
+    "basis search entries": 2**30 // 256,
 }
 
 

@@ -408,8 +408,9 @@ def _newton_descent(U: np.ndarray, r2: np.ndarray, value_of_blocks):
 
 def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_blocks) -> OptimizerResult:
     """Multi-start Newton descent of a blocks functional over projective bases."""
-    dB = rho.dims[1]
+    dA, dB = rho.dims
     check_envelope("measured dimension", dB)
+    check_envelope("basis search entries", cfg.restarts * dB**2 * dA**2)
     bases = random_unitaries(dB, [[cfg.seed, r] for r in range(cfg.restarts)])
     values, bases, evaluations, converged = _newton_descent(
         bases, _paired_b_indices(rho), value_of_blocks)

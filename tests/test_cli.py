@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -962,6 +963,11 @@ ENVELOPE_REQUESTS = {
         lambda n: ["sweep", "--family", "werner", "--d", "2", "--measures", "mi",
                    "--start", "0", "--stop", "1", "--step", repr(1.0 / (n - 1))],
         lambda limit: limit),
+    "basis search entries": (
+        (cli, "build_pseudo_pure"),
+        lambda r: ["compute", "--family", "pp", "--d", "3", "--alpha", "0.5",
+                   "--schmidt", "0.8,0.6,0", "--measures", "gd", "--numeric", "--restarts", str(r)],
+        lambda limit: limit // 3**4),
 }
 
 
@@ -985,6 +991,27 @@ class TestEnvelope:
         code, out, err = run_cli([*argv(largest(limit) + 1), "--out", str(path)], capsys)
         assert (code, out) == (3, "")
         assert err.startswith(f"qcorr: {row} ") and err.endswith(f" exceeds the envelope {limit}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "pp", "--d", "3", "--alpha", "0.5", "--schmidt", "0.8,0.6,0",
+         "--measures", "gd", "--numeric"],
+        ["oracle-compare", "--family", "isotropic", "--d", "3", "--measure", "discord",
+         "--start", "0.5", "--stop", "0.5", "--step", "0.1"],
+    ], ids=["compute", "oracle-compare"])
+    def test_restarts_beyond_memory_exit_3_before_any_start(self, argv, monkeypatch, tmp_path,
+                                                            capsys):
+        # the seed list and the Ginibre draws of 10^11 restarts grew past a 20 s timeout
+        monkeypatch.setattr(oracle, "random_unitaries", _reach)
+        monkeypatch.setattr(cli, "build_pseudo_pure", _reach)
+        path = tmp_path / "x.csv"
+        start = time.perf_counter()
+        code, out, err = run_cli([*argv, "--restarts", "100000000000", "--out", str(path)],
+                                 capsys)
+        assert time.perf_counter() - start < 1.0
+        limit = linalg.ENVELOPE["basis search entries"]
+        assert (code, out) == (3, "")
+        assert err == f"qcorr: basis search entries 8100000000000 exceeds the envelope {limit}\n"
         assert not path.exists()
 
 

@@ -196,6 +196,21 @@ class TestMinimizeConditionalEntropy:
         with pytest.raises(ValueError):
             minimize_conditional_entropy(rho, FAST)
 
+    @pytest.mark.parametrize("search", [minimize_conditional_entropy, gd_numeric])
+    def test_restarts_beyond_memory_raise_before_any_start(self, search, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("start drawn")
+
+        monkeypatch.setattr(oracle, "random_unitaries", refuse)
+        rho = DensityMatrix(np.kron(random_density(4, rng), random_density(2, rng)), (4, 2))
+        limit = ENVELOPE["basis search entries"]
+        restarts = limit // (2**2 * 4**2)  # the most whose R dB^2 dA^2 entries fit
+        with pytest.raises(AssertionError, match="start drawn"):
+            search(rho, OptimizerConfig(restarts=restarts))
+        message = f"^basis search entries {(restarts + 1) * 64} exceeds the envelope {limit}$"
+        with pytest.raises(ValueError, match=message):
+            search(rho, OptimizerConfig(restarts=restarts + 1))
+
 
 def blocks_kernel(measure, rho):
     """The batched objective of the discord ("ce") or gd search on `rho`."""
