@@ -34,6 +34,9 @@ ENVELOPE = {
     # R dB^2 dA^2, the entries of each complex table the basis search holds for R restarts:
     # a search peaks at 120-180 B per entry (d = 2-8), so 256 B per entry keeps it in 1 GiB
     "basis search entries": 2**30 // 256,
+    # the closed forms hold a Schmidt vector at about 42 B per entry at their peak (figure
+    # fig6 at d = 10^7: 421 MB), so 2**30 // 42 entries keep them in 1 GiB
+    "Schmidt vector length": 2**30 // 42,
 }
 
 

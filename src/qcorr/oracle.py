@@ -536,6 +536,7 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
     dmin, dmax = int(d_range[0]), int(d_range[1])
     if not 2 <= dmin <= dmax < 2**63 - 1:  # d is drawn as an int64 below dmax + 1
         raise ValueError(f"need 2 <= dmin <= dmax < 2**63 - 1, got ({dmin}, {dmax})")
+    check_envelope("Schmidt vector length", dmax)
 
     rng = np.random.default_rng(seed)
     min_gap = math.inf

@@ -23,6 +23,7 @@ from .linalg import (
     EVAL_NEG_TOL,
     TRACE_ATOL,
     check_bipartite_dims,
+    check_envelope,
     require_hermitian,
 )
 
@@ -205,6 +206,7 @@ def build_pseudo_pure(p: PseudoPureParams) -> DensityMatrix:
 def isotropic_params(d: int, alpha: float) -> PseudoPureParams:
     """Parameter record of the isotropic state (uniform Schmidt vector)."""
     d = _check_dimension(d)
+    check_envelope("Schmidt vector length", d)
     return PseudoPureParams(d, alpha, np.full(d, 1.0 / np.sqrt(d)))
 
 
@@ -235,5 +237,6 @@ def random_schmidt_vector(d: int, seed: int) -> np.ndarray:
     """Seeded random Schmidt vector: the absolute values of d independent
     standard complex Gaussians, normalized and sorted descending."""
     d = _check_dimension(d)
+    check_envelope("Schmidt vector length", d)
     rng = np.random.default_rng(seed)
     return normalized_schmidt(np.abs(rng.standard_normal(d) + 1j * rng.standard_normal(d)))

@@ -860,22 +860,33 @@ class TestExitCodes:
         assert [r["measure"] for r in rows] == ["discord", "cc", "mi", "eof", "asymptote"]
         assert all(math.isfinite(r["value"]) for r in rows)
 
-    @pytest.mark.parametrize("argv", [
-        ["compute", "--family", "isotropic", "--d", "1000000000000000", "--alpha", "0.5",
-         "--measures", "discord"],
-        ["sweep", "--family", "isotropic", "--d", "1000000000000000", "--start", "0",
-         "--stop", "1", "--step", "0.5", "--measures", "discord"],
-        ["figure", "fig4", "--dims", "1000000000000000"],
-        ["conjecture", "--samples", "3", "--dmin", "1000000000000000",
-         "--dmax", "1000000000000000"],
-    ], ids=["compute", "sweep", "figure", "conjecture"])
-    def test_dimension_beyond_memory_is_domain_error(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, shown", [
+        (["compute", "--family", "isotropic", "--d", "1000000000000000", "--alpha", "0.5",
+          "--measures", "discord"], "1.000e+15"),
+        (["sweep", "--family", "isotropic", "--d", "1000000000000000", "--start", "0",
+          "--stop", "1", "--step", "0.5", "--measures", "discord"], "1.000e+15"),
+        (["figure", "fig4", "--dims", "1000000000000000"], "1.000e+15"),
+        (["conjecture", "--samples", "3", "--dmin", "1000000000000000",
+          "--dmax", "1000000000000000"], "1.000e+15"),
+        (["conjecture", "--samples", "3", "--dmin", str(2**63 - 2), "--dmax", str(2**63 - 2)],
+         "9.223e+18"),
+    ], ids=["compute", "sweep", "figure", "conjecture", "conjecture-int64"])
+    def test_dimension_beyond_memory_is_domain_error(self, argv, shown, tmp_path, capsys):
         # a Schmidt vector of 10^15 floats (7.1 PiB) cannot be allocated at all
         path = tmp_path / "x.csv"
+        start = time.perf_counter()
         code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        limit = linalg.ENVELOPE["Schmidt vector length"]
         assert (code, out) == (3, "")
-        assert err.startswith("qcorr: Unable to allocate ") and err.count("\n") == 1
+        assert err == f"qcorr: Schmidt vector length {shown} exceeds the envelope {limit}\n"
         assert not path.exists()
+
+    def test_werner_dimension_holds_no_vector_and_is_not_bounded_by_it(self, capsys):
+        code, out, err = run_cli(["compute", "--family", "werner", "--d", str(10**154),
+                                  "--lambda", "0.5", "--measures", "discord,mi"], capsys)
+        assert (code, err) == (0, "")
+        assert len(parse_records(out)) == 2
 
     @pytest.mark.parametrize("grid, message", [
         (["--start", "0", "--stop", "1", "--step", "0"], "grid step must be positive"),
@@ -962,6 +973,10 @@ ENVELOPE_REQUESTS = {
         (cli, "WernerParams"),
         lambda n: ["sweep", "--family", "werner", "--d", "2", "--measures", "mi",
                    "--start", "0", "--stop", "1", "--step", repr(1.0 / (n - 1))],
+        lambda limit: limit),
+    "Schmidt vector length": (
+        (oracle, "random_schmidt_vector"),
+        lambda n: ["conjecture", "--samples", "1", "--dmin", str(n), "--dmax", str(n)],
         lambda limit: limit),
     "basis search entries": (
         (cli, "build_pseudo_pure"),

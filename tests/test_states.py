@@ -1,11 +1,12 @@
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcorr.linalg import partial_transpose
+from qcorr.linalg import ENVELOPE, partial_transpose
 from qcorr.states import (
     DensityMatrix,
     PseudoPureParams,
@@ -170,6 +171,17 @@ class TestRandomSchmidtVector:
     def test_leading_amplitude_dominates_d2(self):
         for seed in range(50):
             assert random_schmidt_vector(2, seed)[0] >= 1 / math.sqrt(2) - 1e-15
+
+    @pytest.mark.parametrize("vector", [lambda d: isotropic_params(d, 0.5).schmidt,
+                                        lambda d: random_schmidt_vector(d, 0)],
+                             ids=["isotropic", "random"])
+    def test_schmidt_vector_beyond_the_envelope_is_refused_before_allocation(self, vector):
+        limit = ENVELOPE["Schmidt vector length"]
+        for d, shown in ((limit + 1, str(limit + 1)), (10**15, "1.000e+15")):
+            message = f"^Schmidt vector length {re.escape(shown)} exceeds the envelope {limit}$"
+            with pytest.raises(ValueError, match=message):
+                vector(d)
+        assert vector(5).shape == (5,)
 
 
 class TestRandomUnitary:
