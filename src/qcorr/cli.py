@@ -526,7 +526,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"qcorr: {exc}", file=sys.stderr)
+        # a MemoryError raised without text, as the interpreter's own are, gets a fixed one
+        print(f"qcorr: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -882,6 +882,23 @@ class TestExitCodes:
         assert err == f"qcorr: Schmidt vector length {shown} exceeds the envelope {limit}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "qcorr: out of memory\n"),
+        (MemoryError("Unable to allocate 7.11 PiB for an array with shape (10**15,)"),
+         "qcorr: Unable to allocate 7.11 PiB for an array with shape (10**15,)\n"),
+    ], ids=["no-text", "numpy-text"])
+    def test_memory_error_is_domain_error_with_text(self, error, message, monkeypatch,
+                                                    tmp_path, capsys):
+        def exhausted(*args):
+            raise error
+
+        monkeypatch.setattr(cf, "werner_discord", exhausted)
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(["compute", "--family", "werner", "--d", "3", "--lambda", "0.5",
+                                  "--measures", "discord", "--out", str(path)], capsys)
+        assert (code, out, err) == (3, "", message)
+        assert not path.exists()
+
     def test_werner_dimension_holds_no_vector_and_is_not_bounded_by_it(self, capsys):
         code, out, err = run_cli(["compute", "--family", "werner", "--d", str(10**154),
                                   "--lambda", "0.5", "--measures", "discord,mi"], capsys)
