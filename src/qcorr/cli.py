@@ -206,11 +206,10 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
 def _check_envelope(d: int, measures: list[str], cfg: oracle.OptimizerConfig) -> None:
     """Raise the error the oracle raises for `measures` at dimension d, before
     any state is built or start drawn: every state is a dense d^2 x d^2 matrix,
-    and a measure that optimizes searches cfg.restarts bases of a d-dimensional side."""
+    and a measure that optimizes runs the basis search that oracle.check_search bounds."""
     linalg.check_envelope("state side", d * d)
     if any(MEASURES[m].optimizes for m in measures):
-        linalg.check_envelope("measured dimension", d)
-        linalg.check_envelope("basis search entries", cfg.restarts * d**4)
+        oracle.check_search((d, d), cfg)
 
 
 def _require_schmidt(parser: argparse.ArgumentParser, args) -> None:

@@ -406,12 +406,18 @@ def _newton_descent(U: np.ndarray, r2: np.ndarray, value_of_blocks):
     return value, U, evaluations, steps < _MAX_ITERATIONS
 
 
+def check_search(dims, cfg: OptimizerConfig) -> None:
+    """Raise the envelope's error for a search of cfg.restarts bases on side B of a
+    state of local dimensions dims = (dA, dB), before any start is drawn: the measured
+    dimension dB, then the R dB^2 dA^2 entries of each table the search holds."""
+    check_envelope("measured dimension", dims[1])
+    check_envelope("basis search entries", cfg.restarts * dims[1]**2 * dims[0]**2)
+
+
 def _minimize_over_bases(rho: DensityMatrix, cfg: OptimizerConfig, value_of_blocks) -> OptimizerResult:
     """Multi-start Newton descent of a blocks functional over projective bases."""
-    dA, dB = rho.dims
-    check_envelope("measured dimension", dB)
-    check_envelope("basis search entries", cfg.restarts * dB**2 * dA**2)
-    bases = random_unitaries(dB, [[cfg.seed, r] for r in range(cfg.restarts)])
+    check_search(rho.dims, cfg)
+    bases = random_unitaries(rho.dims[1], [[cfg.seed, r] for r in range(cfg.restarts)])
     values, bases, evaluations, converged = _newton_descent(
         bases, _paired_b_indices(rho), value_of_blocks)
     best = int(np.argmin(values))
@@ -428,15 +434,14 @@ def discord_numeric(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
     """Discord from matrices alone: S(rho^B) - S(rho) plus the minimized
     conditional entropy."""
     s_b = von_neumann_entropy(partial_trace(rho.matrix, rho.dims, "A"))
-    s_ab = von_neumann_entropy(rho.matrix)
-    return s_b - s_ab + minimize_conditional_entropy(rho, cfg).value
+    return s_b - rho.entropy + minimize_conditional_entropy(rho, cfg).value
 
 
 def mutual_information_numeric(rho: DensityMatrix) -> float:
     """S(rho^A) + S(rho^B) - S(rho) from the eigensystems."""
     s_a = von_neumann_entropy(partial_trace(rho.matrix, rho.dims, "B"))
     s_b = von_neumann_entropy(partial_trace(rho.matrix, rho.dims, "A"))
-    return s_a + s_b - von_neumann_entropy(rho.matrix)
+    return s_a + s_b - rho.entropy
 
 
 def gd_objective(rho: DensityMatrix, basis) -> float:

@@ -15,16 +15,15 @@ derived from its seed, so outputs are reproducible bit for bit.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
-    EVAL_NEG_TOL,
-    TRACE_ATOL,
     check_bipartite_dims,
     check_envelope,
     require_hermitian,
+    von_neumann_entropy,
 )
 
 SCHMIDT_NORM_ATOL = 1e-9
@@ -139,21 +138,22 @@ class PseudoPureParams:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated bipartite density matrix with recorded local dimensions."""
+    """A validated bipartite density matrix with recorded local dimensions.
+
+    The matrix passes linalg.von_neumann_entropy, the one state rule (Hermitian,
+    unit trace, no eigenvalue below -1e-10), and `entropy` keeps its result, S(rho)
+    in bits, so that no measure eigensolves the full state again.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, int]
+    entropy: float = field(init=False)
 
     def __post_init__(self):
         A = require_hermitian(self.matrix, "state")
-        dA, dB = check_bipartite_dims(A, self.dims)
-        if abs(A.trace() - 1.0) > TRACE_ATOL:
-            raise ValueError(f"state must have unit trace, got {A.trace():.12g}")
-        w_min = np.linalg.eigvalsh(A).min()
-        if w_min < -EVAL_NEG_TOL:
-            raise ValueError(f"state has eigenvalue {w_min:.3e} below -{EVAL_NEG_TOL:g}")
+        object.__setattr__(self, "dims", check_bipartite_dims(A, self.dims))
+        object.__setattr__(self, "entropy", von_neumann_entropy(A))
         object.__setattr__(self, "matrix", A)
-        object.__setattr__(self, "dims", (dA, dB))
 
 
 def flip_operator(d: int) -> np.ndarray:

@@ -18,7 +18,13 @@ import numpy as np
 
 from conftest import random_density
 from qcorr import oracle
-from qcorr.linalg import entropy_of_spectrum, partial_trace, partial_transpose, purity
+from qcorr.linalg import (
+    entropy_of_spectrum,
+    partial_trace,
+    partial_transpose,
+    purity,
+    von_neumann_entropy,
+)
 from qcorr.states import (
     DensityMatrix,
     PseudoPureParams,
@@ -100,6 +106,15 @@ class TestLibraryBits:
         values = np.array([entropy_of_spectrum(w) for w in _spectra()])
         assert _digest([values]) == (
             "0fe97c77ee335201163e260528e28acba6d0d6f66b6c2447e1a62d430eebbe2c")
+
+    def test_density_matrix_entropy(self):
+        # the S(rho) a DensityMatrix keeps is the one von_neumann_entropy returns, to the bit
+        rng = np.random.default_rng(19)
+        states = [rho for rho, _ in _states()]
+        states += [rho for d in range(2, 9) for rho in _search_states(d, rng)]
+        for rho in states:
+            assert np.float64(rho.entropy).tobytes() == (
+                np.float64(von_neumann_entropy(rho.matrix)).tobytes())
 
     def test_partial_trace_and_transpose(self):
         rng = np.random.default_rng(11)

@@ -210,6 +210,17 @@ class TestMinimizeConditionalEntropy:
         message = f"^basis search entries {(restarts + 1) * 64} exceeds the envelope {limit}$"
         with pytest.raises(ValueError, match=message):
             search(rho, OptimizerConfig(restarts=restarts + 1))
+        for dims in ((4, 2), (2, 4)):  # R dB^2 dA^2 is the same either way round
+            oracle.check_search(dims, OptimizerConfig(restarts=restarts))
+            with pytest.raises(ValueError, match=message):
+                oracle.check_search(dims, OptimizerConfig(restarts=restarts + 1))
+
+    def test_check_search_bounds_the_measured_side_only(self):
+        limit = ENVELOPE["measured dimension"]
+        oracle.check_search((limit + 1, limit), OptimizerConfig(restarts=1))
+        with pytest.raises(ValueError,
+                           match=f"^measured dimension {limit + 1} exceeds the envelope {limit}$"):
+            oracle.check_search((limit, limit + 1), OptimizerConfig(restarts=1))
 
 
 def blocks_kernel(measure, rho):
@@ -674,6 +685,25 @@ class TestMutualInformationNumeric:
     def test_pure_maximally_entangled(self):
         rho = build_pseudo_pure(isotropic_params(4, 1.0))
         assert mutual_information_numeric(rho) == pytest.approx(4.0, abs=1e-10)
+
+
+class TestFullStateEntropy:
+    def test_only_marginals_are_eigensolved(self, monkeypatch):
+        # S(rho) comes from DensityMatrix.entropy, so the measures solve marginals only
+        sides = []
+        real = oracle.von_neumann_entropy
+
+        def recording(matrix):
+            sides.append(len(matrix))
+            return real(matrix)
+
+        p = PseudoPureParams(3, 0.6, np.array([0.8, 0.6, 0.0]))
+        rho = build_pseudo_pure(p)
+        monkeypatch.setattr(oracle, "von_neumann_entropy", recording)
+        assert discord_numeric(rho, FAST) == pytest.approx(cf.pp_discord(p), abs=1e-6)
+        assert mutual_information_numeric(rho) == pytest.approx(
+            cf.pp_mutual_information(p), abs=1e-9)
+        assert sides == [3, 3, 3]  # S(rho^B) for the discord, S(rho^A) and S(rho^B) for the mi
 
 
 class TestGdObjective:

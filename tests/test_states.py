@@ -238,12 +238,14 @@ class TestHelpers:
         assert_allclose(F @ np.kron(x, y), np.kron(y, x), atol=1e-14)
 
     def test_density_matrix_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
+        message = f"^{re.escape('state must have unit trace, got 4+0j')}$"
+        with pytest.raises(ValueError, match=message):
             DensityMatrix(np.eye(4), (2, 2))
 
     def test_density_matrix_rejects_negative(self):
         m = np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex)
-        with pytest.raises(ValueError):
+        message = "^spectrum has eigenvalue -1.000e-01 below -1e-10; not a state$"
+        with pytest.raises(ValueError, match=message):
             DensityMatrix(m, (2, 2))
 
 
