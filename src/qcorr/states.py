@@ -159,6 +159,7 @@ class DensityMatrix:
 def flip_operator(d: int) -> np.ndarray:
     """The swap F with F (x (x) y) = y (x) x on C^d (x) C^d."""
     d = _check_dimension(d)
+    check_envelope("state side", d * d)
     eye = np.eye(d)
     return np.einsum("ad,bc->abcd", eye, eye).reshape(d * d, d * d).astype(complex)
 
@@ -197,6 +198,7 @@ def build_pseudo_pure(p: PseudoPureParams) -> DensityMatrix:
 
     The spectrum is {alpha} once and {beta} with multiplicity d^2 - 1.
     """
+    check_envelope("state side", p.d**2)
     psi = schmidt_state_vector(p.schmidt)
     proj = np.outer(psi, psi.conj())
     rho = p.alpha * proj + p.beta * (np.eye(p.d**2, dtype=complex) - proj)

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,24 @@ class TestRandomSchmidtVector:
             with pytest.raises(ValueError, match=message):
                 vector(d)
         assert vector(5).shape == (5,)
+
+
+class TestStateSide:
+    @pytest.mark.parametrize("build", [
+        lambda: flip_operator(65),
+        lambda: build_werner(WernerParams(65, 0.5)),
+        lambda: build_pseudo_pure(isotropic_params(65, 0.5)),
+    ], ids=["flip_operator", "build_werner", "build_pseudo_pure"])
+    def test_side_beyond_the_envelope_is_refused_before_allocation(self, build):
+        # each peaked at 409-1090 MiB before the check of the finished matrix refused it
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^state side 4225 exceeds the envelope 4096$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestRandomUnitary:
