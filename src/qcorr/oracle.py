@@ -50,7 +50,6 @@ import numpy as np
 
 from . import closed_forms
 from .linalg import (
-    ENVELOPE,
     EVAL_ZERO_CUTOFF,
     check_envelope,
     hermitian_eigensystem,
@@ -533,11 +532,13 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
     Draws d uniformly in d_range, alpha uniformly in [0, 1] and a Haar
     Schmidt vector per sample; evaluates the closed forms for every sample
     and additionally cross-checks the matrix-based pair on a deterministic
-    5% subset (every 20th sample whose d is within the measured-dimension envelope).
+    5% subset (every 20th sample whose d is at most 8). That bound is fixed, not
+    the measured-dimension envelope, so that raising the envelope moves no report.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     cross_check = OptimizerConfig(restarts=4, seed=seed)
+    cross_check_dmax = 8  # fixed: the measured-dimension row may grow past it
     dmin, dmax = int(d_range[0]), int(d_range[1])
     if not 2 <= dmin <= dmax < 2**63 - 1:  # d is drawn as an int64 below dmax + 1
         raise ValueError(f"need 2 <= dmin <= dmax < 2**63 - 1, got ({dmin}, {dmax})")
@@ -563,7 +564,7 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
             worst = params
         if gap < -CONJECTURE_GAP_TOL:
             violations += 1
-        if index % 20 == 0 and d <= ENVELOPE["measured dimension"]:
+        if index % 20 == 0 and d <= cross_check_dmax:
             rho = build_pseudo_pure(params)
             cfg = replace(cross_check, seed=int(np.random.SeedSequence([seed, index]).generate_state(1)[0]))
             max_gd_gap = max(max_gd_gap, abs(gd_numeric(rho, cfg) - gd))

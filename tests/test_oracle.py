@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -814,6 +816,16 @@ class TestConjectureSweep:
         assert a.worst_case.d == b.worst_case.d
         assert a.worst_case.alpha == b.worst_case.alpha
         assert np.array_equal(a.worst_case.schmidt, b.worst_case.schmidt)
+
+    def test_cross_check_does_not_follow_the_envelope(self, monkeypatch):
+        # patched to 16, the measured-dimension row cross-checked 10 samples instead of 5
+        def report():
+            return json.dumps(asdict(conjecture_sweep(200, (2, 16), 0)), default=np.ndarray.tolist)
+
+        expected = report()
+        monkeypatch.setitem(ENVELOPE, "measured dimension", 16)
+        assert report() == expected
+        assert json.loads(expected)["checked"] == 5
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
