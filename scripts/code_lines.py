@@ -5,11 +5,13 @@ A code line is a line that is not blank, not a comment and not part of a
 docstring (the string that opens a module, class or function). Run from
 anywhere: python scripts/code_lines.py [DIRECTORY], DIRECTORY defaulting to
 the package next to this script; tests/ and perfbench/ are read two levels
-above DIRECTORY.
+above DIRECTORY. A reader that closes the pipe early, such as head, ends the
+script quietly with exit status 141, as it ends qcorr's CLI.
 """
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -48,4 +50,14 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        status = main(sys.argv)
+        sys.stdout.flush()  # so that a closed reader raises here, not at the interpreter's exit
+    except BrokenPipeError:
+        # the reader has all it wants: say nothing, and send what stdout still buffers
+        # to os.devnull, so that the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = 141  # 128 + SIGPIPE, the status a shell gives a writer that SIGPIPE ended
+    sys.exit(status)
