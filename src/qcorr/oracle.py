@@ -538,7 +538,7 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
     if samples < 1:
         raise ValueError("samples must be >= 1")
     cross_check = OptimizerConfig(restarts=4, seed=seed)
-    cross_check_dmax = 8  # fixed: the measured-dimension row may grow past it
+    cross_check_dmax = 8
     dmin, dmax = int(d_range[0]), int(d_range[1])
     if not 2 <= dmin <= dmax < 2**63 - 1:  # d is drawn as an int64 below dmax + 1
         raise ValueError(f"need 2 <= dmin <= dmax < 2**63 - 1, got ({dmin}, {dmax})")
