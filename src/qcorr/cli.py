@@ -21,7 +21,6 @@ import dataclasses
 import errno
 import json
 import math
-import operator
 import os
 import sys
 from functools import cache, cached_property, reduce
@@ -276,11 +275,6 @@ def _closed_chunks(family: str, d: int, grid: np.ndarray, u, fns):
         yield values, [fn(params) for fn in fns]
 
 
-def _closed_column(family: str, d: int, grid: np.ndarray, u, fn) -> np.ndarray:
-    """The results of one closed form over the whole grid, a chunk at a time."""
-    return np.concatenate([results for _, (results,) in _closed_chunks(family, d, grid, u, [fn])])
-
-
 def _render(template: str, cells: np.ndarray) -> str:
     """`template` once per row of the 2-D float array `cells`, its %.12g slots
     filled with that row's floats in order."""
@@ -374,15 +368,12 @@ def cmd_figure(parser, args) -> int:
     family, label, measures, extra = _FIGURES[args.name]
     dims = args.dims or ([2, 50] if args.name == "fig3" else [2, 3, 10, 50])
     fns = _closed_fns(family, measures)
-
-    def column(p):
-        return reduce(operator.sub, (fn(p) for fn in fns))
-
     grid = np.arange(101) / 100.0
     for d in dims:  # every dimension, before the first chunk
         FAMILIES[family].params(d, grid, None)
     header = [FAMILIES[family].param] + [f"{label}_d{d}" for d in dims]
-    columns = [grid] + [_closed_column(family, d, grid, None, column) for d in dims]
+    columns = [grid] + [np.concatenate([reduce(np.subtract, results) for _, results in
+                                        _closed_chunks(family, d, grid, None, fns)]) for d in dims]
     if extra is not None:
         header.append(extra[0])
         columns.append(extra[1](grid))
@@ -403,14 +394,14 @@ def cmd_oracle_compare(parser, args) -> int:
     _require_schmidt(parser, args)
     _check_out(args.out)
     family, measure, d = FAMILIES[args.family], args.measure, args.d
-    (closed_fn,) = _closed_fns(args.family, [measure])
+    fns = _closed_fns(args.family, [measure])
     u = _schmidt_vector(args)
     tolerance = MEASURES[measure].tolerance
     cfg = _optimizer_config(args)
     grid = _grid(args.start, args.stop, args.step)
     family.params(d, grid, u)  # every grid value, before the first point
     _check_envelope(d, [measure], cfg)
-    closed = _closed_column(args.family, d, grid, u, closed_fn)
+    closed = np.concatenate([r for _, (r,) in _closed_chunks(args.family, d, grid, u, fns)])
     points = (OraclePoint(family.state(family.params(d, x, u)), cfg) for x in grid.tolist())
     numeric = np.array([MEASURES[measure].oracle(point) for point in points])
     gaps = np.abs(closed - numeric)

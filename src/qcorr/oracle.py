@@ -464,7 +464,9 @@ def negativity_numeric(rho: DensityMatrix) -> float:
     dA, dB = rho.dims
     if dA != dB:
         raise ValueError("negativity is defined here for equal local dimensions")
-    w, _ = hermitian_eigensystem(partial_transpose(rho.matrix, rho.dims, "B"))
+    # rho^Gamma is an index permutation of rho, so it is Hermitian exactly when rho
+    # is, and DensityMatrix checked that: eigh gets the array unchecked
+    w, _ = np.linalg.eigh(partial_transpose(rho.matrix, rho.dims, "B"))
     total = w[w < -1e-12].sum()
     return float(2.0 * abs(total) / (dA - 1.0))
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    _as_square,
     check_bipartite_dims,
     check_envelope,
-    require_hermitian,
     von_neumann_entropy,
 )
 
@@ -140,9 +140,12 @@ class PseudoPureParams:
 class DensityMatrix:
     """A validated bipartite density matrix with recorded local dimensions.
 
-    The matrix passes linalg.von_neumann_entropy, the one state rule (Hermitian,
-    unit trace, no eigenvalue below -1e-10), and `entropy` keeps its result, S(rho)
-    in bits, so that no measure eigensolves the full state again.
+    The checks run in this order: shape and side (linalg._as_square), then the
+    dims against the side, then linalg.von_neumann_entropy, the one state rule
+    (Hermitian, unit trace, no eigenvalue below -1e-10). So the full matrix is
+    checked for Hermiticity once, and a dims error comes before any eigensolve.
+    `entropy` keeps the rule's result, S(rho) in bits, so that no measure
+    eigensolves the full state again.
     """
 
     matrix: np.ndarray
@@ -150,7 +153,7 @@ class DensityMatrix:
     entropy: float = field(init=False)
 
     def __post_init__(self):
-        A = require_hermitian(self.matrix, "state")
+        A = _as_square(self.matrix, "state")
         object.__setattr__(self, "dims", check_bipartite_dims(A, self.dims))
         object.__setattr__(self, "entropy", von_neumann_entropy(A))
         object.__setattr__(self, "matrix", A)

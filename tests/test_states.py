@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcorr.linalg import ENVELOPE, partial_transpose
+from conftest import random_density
+from qcorr import linalg, states
+from qcorr.linalg import ENVELOPE, hermitian_eigensystem, partial_transpose
+from qcorr.oracle import negativity_numeric
 from qcorr.states import (
     DensityMatrix,
     PseudoPureParams,
@@ -265,6 +268,45 @@ class TestHelpers:
         m = np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex)
         message = "^spectrum has eigenvalue -1.000e-01 below -1e-10; not a state$"
         with pytest.raises(ValueError, match=message):
+            DensityMatrix(m, (2, 2))
+
+
+class TestOneHermiticityCheck:
+    """A numeric state is checked for Hermiticity once, when it becomes a DensityMatrix."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+
+        def counted(check):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return check(*args, **kwargs)
+            return wrapper
+
+        for module in (linalg, states):
+            if hasattr(module, "require_hermitian"):
+                monkeypatch.setattr(module, "require_hermitian", counted(module.require_hermitian))
+        return calls
+
+    @pytest.mark.parametrize("build", [
+        lambda: DensityMatrix(random_density(9, np.random.default_rng(5)), (3, 3)),
+        lambda: build_werner(WernerParams(3, 0.3)),
+        lambda: build_pseudo_pure(PseudoPureParams(3, 0.4, random_schmidt_vector(3, 3))),
+    ], ids=["direct", "build_werner", "build_pseudo_pure"])
+    def test_once_per_state_and_never_in_negativity(self, checks, build):
+        rho = build()
+        assert len(checks) == 1
+        value = negativity_numeric(rho)
+        assert len(checks) == 1
+        w, _ = hermitian_eigensystem(partial_transpose(rho.matrix, rho.dims, "B"))
+        assert value == float(2.0 * abs(w[w < -1e-12].sum()) / 2.0)  # the checked route's bits
+
+    def test_dims_error_comes_before_the_hermiticity_check(self):
+        m = np.triu(np.ones((4, 4)))
+        with pytest.raises(ValueError, match=r"^matrix side 4 does not match dimA\*dimB = 9$"):
+            DensityMatrix(m, (3, 3))
+        with pytest.raises(ValueError, match="^state is not Hermitian within tolerance$"):
             DensityMatrix(m, (2, 2))
 
 
