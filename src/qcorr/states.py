@@ -179,11 +179,18 @@ def build_werner(p: WernerParams) -> DensityMatrix:
     """Werner state: the `lam`-weighted mixture of the normalized
     antisymmetric projector with the normalized symmetric projector.
 
-    tr(rho Pi^-) equals lam, and the state is U (x) U invariant.
+    tr(rho Pi^-) equals lam, and the state is U (x) U invariant. With weights
+    sym and anti on the projectors (I + F)/2 and (I - F)/2, rho is written in
+    place: sym/2 + anti/2 on the diagonal, sym/2 - anti/2 on the swap entries
+    (|ij>, |ji>), and sym on the |ii> diagonal, where I and F meet; every
+    other entry is zero. Each entry has the bits of the projector sum.
     """
-    plus, minus = symmetric_antisymmetric_projectors(p.d)
     d = p.d
-    rho = (2.0 * (1.0 - p.lam) / (d * (d + 1))) * plus + (2.0 * p.lam / (d * (d - 1))) * minus
+    check_envelope("state side", d * d)
+    sym, anti = 2.0 * (1.0 - p.lam) / (d * (d + 1)), 2.0 * p.lam / (d * (d - 1))
+    rho = np.diag(np.full(d * d, sym * 0.5 + anti * 0.5, dtype=complex))
+    i, j = np.divmod(np.arange(d * d), d)
+    rho[i * d + j, j * d + i] = np.where(i == j, sym, sym * 0.5 - anti * 0.5)
     return DensityMatrix(rho, (d, d))
 
 
@@ -199,12 +206,16 @@ def schmidt_state_vector(u) -> np.ndarray:
 def build_pseudo_pure(p: PseudoPureParams) -> DensityMatrix:
     """Pseudo-pure state: alpha |psi><psi| + beta (I - |psi><psi|).
 
-    The spectrum is {alpha} once and {beta} with multiplicity d^2 - 1.
+    The spectrum is {alpha} once and {beta} with multiplicity d^2 - 1. psi
+    lives on the |ii> entries, so rho is written in place: beta on the
+    diagonal, then the d x d block alpha P + beta (I_d - P), with P the outer
+    product of the Schmidt vector, on the rows and columns of the |ii>; every
+    other entry is zero. Each entry has the bits of the full-matrix expression.
     """
     check_envelope("state side", p.d**2)
-    psi = schmidt_state_vector(p.schmidt)
-    proj = np.outer(psi, psi.conj())
-    rho = p.alpha * proj + p.beta * (np.eye(p.d**2, dtype=complex) - proj)
+    P = np.outer(p.schmidt, p.schmidt).astype(complex)
+    rho = np.diag(np.full(p.d**2, p.beta, dtype=complex))
+    rho[:: p.d + 1, :: p.d + 1] = p.alpha * P + p.beta * (np.eye(p.d, dtype=complex) - P)
     return DensityMatrix(rho, (p.d, p.d))
 
 

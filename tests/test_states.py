@@ -206,6 +206,43 @@ class TestStateSide:
         assert peak < 2**20
 
 
+class TestBuildersInPlace:
+    """The builders write rho in place with the bits of the full-matrix expressions."""
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_werner_has_the_bits_of_the_projector_sum(self, d):
+        plus, minus = symmetric_antisymmetric_projectors(d)
+        for lam in (0.0, 1e-17, 0.3, (d - 1) / (2 * d), 0.5, 0.77, 1 - 1e-16, 1.0):
+            sym, anti = 2.0 * (1.0 - lam) / (d * (d + 1)), 2.0 * lam / (d * (d - 1))
+            expected = sym * plus + anti * minus
+            assert build_werner(WernerParams(d, lam)).matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_pseudo_pure_has_the_bits_of_the_projector_sum(self, d):
+        for u in (random_schmidt_vector(d, 3), np.eye(d)[0], np.full(d, 1 / math.sqrt(d))):
+            psi = schmidt_state_vector(u)
+            proj = np.outer(psi, psi.conj())
+            for alpha in (0.0, 1e-300, 1 / d**2, 0.3, 0.9, 1.0):
+                p = PseudoPureParams(d, alpha, u)
+                expected = alpha * proj + p.beta * (np.eye(d * d, dtype=complex) - proj)
+                assert build_pseudo_pure(p).matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_werner(WernerParams(32, 0.5)),
+        lambda: build_pseudo_pure(isotropic_params(32, 0.5)),
+    ], ids=["build_werner", "build_pseudo_pure"])
+    def test_peak_memory_is_about_three_matrices(self, build):
+        # a 16 MiB matrix at d = 32; the Hermiticity check's two temporaries set the
+        # 48 MiB peak, where the projector sums peaked at 64-80 MiB
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 52 * 2**20
+
+
 class TestRandomUnitary:
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_unitarity(self, d):
