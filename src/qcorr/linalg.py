@@ -28,7 +28,9 @@ EVAL_ZERO_CUTOFF = 1e-15
 # The envelope: row -> the largest size a request may ask of it. Each row is checked
 # by check_envelope before the work it bounds: no state is built or file written first.
 ENVELOPE = {
-    "state side": 4096,  # of a dense complex matrix, 256 MiB at this side
+    # of a dense complex matrix, 256 MiB at this side; building and checking a state peaks
+    # at about 3 times the matrix: the matrix and the two temporaries of require_hermitian
+    "state side": 4096,
     "measured dimension": 8,  # of the basis search's side
     "grid points": 10**6,  # of a sweep or oracle-compare grid
     # R dB^2 dA^2, the entries of each complex table the basis search holds for R restarts:

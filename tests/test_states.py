@@ -232,8 +232,7 @@ class TestBuildersInPlace:
         lambda: build_pseudo_pure(isotropic_params(32, 0.5)),
     ], ids=["build_werner", "build_pseudo_pure"])
     def test_peak_memory_is_about_three_matrices(self, build):
-        # a 16 MiB matrix at d = 32; the Hermiticity check's two temporaries set the
-        # 48 MiB peak, where the projector sums peaked at 64-80 MiB
+        # a 16 MiB matrix at d = 32, and the two temporaries of its Hermiticity check
         tracemalloc.start()
         try:
             build()
