@@ -6,8 +6,10 @@ sweep of gd >= negativity^2) and oracle-compare (closed forms against the
 matrix-based oracle). CSV floats carry 12 significant digits; JSON floats
 (compute --format json, conjecture) are Python's shortest repr, which reads
 back as the same float. Every stochastic path is seeded, so identical flags
-give byte-identical output. sweep checks its whole request first, then writes
-its rows one grid chunk at a time; the other commands write bounded output.
+give byte-identical output. Every command that prints closed forms (compute,
+sweep, figure, oracle-compare) checks its whole request first, then evaluates
+them one grid chunk at a time; sweep writes its rows chunk by chunk, the other
+commands write bounded output.
 
 Exit codes: 0 success, 2 usage, 3 domain, capability, memory or output-file
 error, 4 conjecture violation, 1 oracle-compare mismatch, 141 (128 + SIGPIPE)
@@ -46,9 +48,9 @@ EXIT_DOMAIN = 3
 EXIT_VIOLATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer that SIGPIPE ended
 
-# sweep, figure and oracle-compare call each closed form on
-# max(1, _CHUNK_FLOATS // d) grid values at a time: an array call holds
-# O(values * d), so memory stays O(d + chunk) at any d.
+# compute, sweep, figure and oracle-compare call each closed form through
+# _closed_chunks, on max(1, _CHUNK_FLOATS // d) grid values at a time: an array
+# call holds O(values * d), so memory stays O(d + chunk) at any d.
 _CHUNK_FLOATS = 1 << 16
 
 CSV_HEADER = "family,d,param_name,param_value,measure,value,method"
@@ -142,16 +144,6 @@ FAMILIES = {
     "isotropic": Family("alpha", lambda d, x, u: isotropic_params(d, x),
                         lambda p: build_pseudo_pure(p), "pp"),
 }
-
-
-def _closed_fns(family: str, measures: list[str]) -> list[Callable]:
-    """The closed form of each of `measures` for `family`; raises if one has none."""
-    fns = [getattr(MEASURES[m], FAMILIES[family].route) for m in measures]
-    bad = [m for m, fn in zip(measures, fns) if fn is None]
-    if bad:
-        raise ValueError(f"measure(s) {', '.join(bad)} have no closed form "
-                         f"for family {family!r}")
-    return fns
 
 
 def _parse_measures(text: str) -> list[str]:
@@ -265,14 +257,27 @@ def _write(parts: Iterable[str], path: str | None) -> None:
             handle.writelines(parts)
 
 
-def _closed_chunks(family: str, d: int, grid: np.ndarray, u, fns):
-    """Yield (grid values, one array of results per closed form in `fns`) at
-    dimension d, one chunk of max(1, _CHUNK_FLOATS // d) grid values at a time."""
-    size = max(1, _CHUNK_FLOATS // d)
-    for lo in range(0, len(grid), size):
-        values = grid[lo:lo + size]
-        params = FAMILIES[family].params(d, values, u)
-        yield values, [fn(params) for fn in fns]
+def _closed_chunks(family: str, dims, grid: np.ndarray, u, measures):
+    """Check the whole request, then return the generator of (d, grid values,
+    one array of results per measure in `measures`) over each d of `dims` in
+    turn, one chunk of max(1, _CHUNK_FLOATS // d) grid values at a time.
+
+    Raises before any closed form runs if a measure has no closed form for the
+    family, or if a dimension, a grid value or the Schmidt vector u is invalid."""
+    fam = FAMILIES[family]
+    fns = [getattr(MEASURES[m], fam.route) for m in measures]
+    if bad := [m for m, fn in zip(measures, fns) if fn is None]:
+        raise ValueError(f"measure(s) {', '.join(bad)} have no closed form for family {family!r}")
+    for d in dims:
+        fam.params(d, grid, u)
+
+    def chunk(d, values):
+        params = fam.params(d, values, u)
+        return d, values, [fn(params) for fn in fns]
+
+    sizes = [max(1, _CHUNK_FLOATS // d) for d in dims]
+    return (chunk(d, grid[lo:lo + size])
+            for d, size in zip(dims, sizes) for lo in range(0, len(grid), size))
 
 
 def _render(template: str, cells: np.ndarray) -> str:
@@ -307,14 +312,15 @@ def cmd_compute(parser, args) -> int:
     value = getattr(args, family.param)
     if value is None:
         raise ValueError(f"family {args.family} requires --{family.param}")
-    fns = _closed_fns(args.family, args.measures)
-    params = family.params(args.d, value, _schmidt_vector(args))
+    u = _schmidt_vector(args)
+    chunks = _closed_chunks(args.family, [args.d], np.array([value]), u, args.measures)
     if args.numeric:
         _check_envelope(args.d, args.measures, cfg)
-    results = {"closed": [(m, fn(params)) for m, fn in zip(args.measures, fns)]}
+    [(_, _, columns)] = chunks
+    results = {"closed": [(m, column[0]) for m, column in zip(args.measures, columns)]}
     numeric = [m for m in args.measures if args.numeric and MEASURES[m].oracle is not None]
     if numeric:  # a state is built only for a measure with an oracle route
-        point = OraclePoint(family.state(params), cfg)
+        point = OraclePoint(family.state(family.params(args.d, value, u)), cfg)
         results["numeric"] = [(m, MEASURES[m].oracle(point)) for m in numeric]
     if args.format == "json":
         head = (args.family, args.d, family.param, value)
@@ -331,18 +337,14 @@ def cmd_compute(parser, args) -> int:
 def cmd_sweep(parser, args) -> int:
     _require_schmidt(parser, args)
     _check_out(args.out)
-    family = args.family
-    fns = _closed_fns(family, args.measures)
     u = _schmidt_vector(args)
     grid = _grid(args.start, args.stop, args.step)
-    for d in args.d:  # the whole request, before the first row: a bad one writes nothing
-        FAMILIES[family].params(d, grid, u)
+    chunks = _closed_chunks(args.family, args.d, grid, u, args.measures)
 
     def parts():  # one part per chunk, so no more than a chunk of rows is held
         yield CSV_HEADER + "\n"
-        for d in args.d:
-            for values, columns in _closed_chunks(family, d, grid, u, fns):
-                yield _value_rows(family, d, values, zip(args.measures, columns), "closed")
+        for d, values, columns in chunks:
+            yield _value_rows(args.family, d, values, zip(args.measures, columns), "closed")
 
     _write(parts(), args.out)
     return EXIT_OK
@@ -367,13 +369,11 @@ def cmd_figure(parser, args) -> int:
     _check_out(args.out)
     family, label, measures, extra = _FIGURES[args.name]
     dims = args.dims or ([2, 50] if args.name == "fig3" else [2, 3, 10, 50])
-    fns = _closed_fns(family, measures)
     grid = np.arange(101) / 100.0
-    for d in dims:  # every dimension, before the first chunk
-        FAMILIES[family].params(d, grid, None)
+    chunks = _closed_chunks(family, dims, grid, None, measures)
     header = [FAMILIES[family].param] + [f"{label}_d{d}" for d in dims]
-    columns = [grid] + [np.concatenate([reduce(np.subtract, results) for _, results in
-                                        _closed_chunks(family, d, grid, None, fns)]) for d in dims]
+    diffs = np.concatenate([reduce(np.subtract, results) for _, _, results in chunks])
+    columns = [grid, *np.split(diffs, len(dims))]
     if extra is not None:
         header.append(extra[0])
         columns.append(extra[1](grid))
@@ -394,14 +394,13 @@ def cmd_oracle_compare(parser, args) -> int:
     _require_schmidt(parser, args)
     _check_out(args.out)
     family, measure, d = FAMILIES[args.family], args.measure, args.d
-    fns = _closed_fns(args.family, [measure])
     u = _schmidt_vector(args)
     tolerance = MEASURES[measure].tolerance
     cfg = _optimizer_config(args)
     grid = _grid(args.start, args.stop, args.step)
-    family.params(d, grid, u)  # every grid value, before the first point
+    chunks = _closed_chunks(args.family, [d], grid, u, [measure])
     _check_envelope(d, [measure], cfg)
-    closed = np.concatenate([r for _, (r,) in _closed_chunks(args.family, d, grid, u, fns)])
+    closed = np.concatenate([r for _, _, (r,) in chunks])
     points = (OraclePoint(family.state(family.params(d, x, u)), cfg) for x in grid.tolist())
     numeric = np.array([MEASURES[measure].oracle(point) for point in points])
     gaps = np.abs(closed - numeric)

@@ -47,6 +47,20 @@ def parse_records(text):
     return rows
 
 
+@pytest.fixture
+def closed_calls(monkeypatch):
+    """Records the name of every closed-form library function called."""
+    calls = []
+    for name, fn in vars(cf).items():
+        if callable(fn) and getattr(fn, "__module__", None) == cf.__name__:
+            def counted(*a, fn=fn, name=name, **k):
+                calls.append(name)
+                return fn(*a, **k)
+
+            monkeypatch.setattr(cf, name, counted)
+    return calls
+
+
 class TestCompute:
     def test_werner_singlet_discord(self, capsys):
         code, out, _ = run_cli(
@@ -326,6 +340,17 @@ class TestFigure:
                 assert href == pytest.approx(1.0, abs=1e-12)
                 assert abs(diff - href) <= 0.2
 
+    @pytest.mark.parametrize("name, dims", [("fig1", "2,2"), ("fig6", "3,2,3")])
+    def test_repeated_dimension_keeps_its_columns(self, name, dims, capsys):
+        code, out, _ = run_cli(["figure", name, "--dims", dims], capsys)
+        header, *rows = out.splitlines()
+        assert code == 0 and len(rows) == 101
+        assert header.split(",")[1:-1 if name == "fig6" else None] == [
+            f"{'diff' if name == 'fig6' else 'discord'}_d{d}" for d in dims.split(",")]
+        for row in rows:
+            cells = row.split(",")
+            assert cells[1] == cells[len(dims.split(","))]  # the first and last d are equal
+
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(["figure", "fig4", "--out", str(a)], capsys)[0] == 0
@@ -572,11 +597,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", ["fig1", "fig4"])
     @pytest.mark.parametrize("dims", ["0", "2,0"])
-    def test_figure_dimension_zero_is_domain_error(self, name, dims, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "_closed_chunks", lambda *a: calls.append(a) or iter(()))
+    def test_figure_dimension_zero_is_domain_error(self, name, dims, capsys, closed_calls):
         code, out, err = run_cli(["figure", name, "--dims", dims], capsys)
-        assert (code, out, calls) == (3, "", [])
+        assert (code, out, closed_calls) == (3, "", [])
         assert err == "qcorr: local dimension must be an integer >= 2, got 0\n"
 
     @pytest.mark.parametrize("family, name", [("werner", "lam"), ("isotropic", "alpha")])
@@ -680,19 +703,6 @@ class TestExitCodes:
                  "--measures", "discord", "--out", str(path)], capsys)
             assert code == 3 and "lam" in err
         assert not fresh.exists() and kept.read_text() == "keep\n"
-
-    @pytest.fixture
-    def closed_calls(self, monkeypatch):
-        """Records the name of every closed-form library function called."""
-        calls = []
-        for name, fn in vars(cf).items():
-            if callable(fn) and getattr(fn, "__module__", None) == cf.__name__:
-                def counted(*a, fn=fn, name=name, **k):
-                    calls.append(name)
-                    return fn(*a, **k)
-
-                monkeypatch.setattr(cf, name, counted)
-        return calls
 
     @pytest.mark.parametrize("argv, message", [
         # the grid leaves [0, 1] in its 4th chunk of 32768 values at d = 2
@@ -919,6 +929,104 @@ class TestExitCodes:
                                   "--out", str(path)], capsys)
         assert (code, out, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
         assert not path.exists()
+
+
+class TestOneClosedPath:
+    """Every closed value compute, sweep, figure and oracle-compare print comes
+    from one call of cli._closed_chunks, which checks the whole request first."""
+
+    GRID = ["--start", "0", "--stop", "1", "--step", "0.25"]
+    REQUESTS = {
+        "compute": ["compute", "--family", "werner", "--d", "3", "--lambda", "0.3",
+                    "--measures", "discord,mi,eof", "--numeric", "--restarts", "2"],
+        "sweep": ["sweep", "--family", "werner", "--d", "2,70000,2", *GRID,
+                  "--measures", "discord,cc"],
+        "figure": ["figure", "fig1", "--dims", "2,70000,2"],
+        "oracle-compare": ["oracle-compare", "--family", "werner", "--d", "2", *GRID,
+                           "--measure", "mi"],
+    }
+    # the cells of each output that hold a closed value
+    CLOSED_CELLS = {
+        "compute": lambda rows: [r[5] for r in rows[1:] if r[6] == "closed"],
+        "sweep": lambda rows: [r[5] for r in rows[1:]],
+        "figure": lambda rows: [cell for r in rows[1:] for cell in r[1:]],
+        "oracle-compare": lambda rows: [r[5] for r in rows[1:]],
+    }
+
+    @pytest.mark.parametrize("command", REQUESTS)
+    def test_one_call_yields_every_closed_value(self, command, capsys, monkeypatch):
+        calls, chunks = [], cli._closed_chunks
+
+        def marked(*args):  # the same chunks, each closed result replaced by 0.125
+            calls.append(args)
+            return ((d, values, [np.full(len(values), 0.125) for _ in results])
+                    for d, values, results in chunks(*args))
+
+        monkeypatch.setattr(cli, "_closed_chunks", marked)
+        code, out, _ = run_cli(self.REQUESTS[command], capsys)
+        cells = self.CLOSED_CELLS[command]([row.split(",") for row in out.splitlines()])
+        # oracle-compare compares the marked closed column too, so it no longer agrees
+        assert (code, len(calls)) == (1 if command == "oracle-compare" else 0, 1)
+        assert cells and set(cells) == {"0.125"}
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("compute", ["--d", "1", "--lambda", "0.5", "--measures", "discord"],
+         "local dimension must be an integer >= 2, got 1"),
+        ("compute", ["--d", "2", "--lambda", "1.5", "--measures", "discord"],
+         "lam must lie in [0, 1], got 1.5"),
+        ("compute", ["--family", "pp", "--d", "3", "--alpha", "0.5", "--schmidt", "0.8,0.6",
+                     "--measures", "discord"], "Schmidt vector has length 2, expected 3"),
+        ("compute", ["--d", "2", "--lambda", "0.5", "--measures", "mi,gd,negativity"],
+         "measure(s) gd, negativity have no closed form for family 'werner'"),
+        ("sweep", ["--d", "2,1", *GRID, "--measures", "discord"],
+         "local dimension must be an integer >= 2, got 1"),
+        ("sweep", ["--d", "2", "--start", "0.5", "--stop", "1.5", "--step", "0.5",
+                   "--measures", "discord"], "lam must lie in [0, 1], got 1.5"),
+        ("sweep", ["--family", "pp", "--d", "2,3", "--schmidt", "0.8,0.6", *GRID,
+                   "--measures", "discord"], "Schmidt vector has length 2, expected 3"),
+        ("sweep", ["--d", "2", *GRID, "--measures", "discord,gd"],
+         "measure(s) gd have no closed form for family 'werner'"),
+        ("figure", ["fig4", "--dims", "2,1"], "local dimension must be an integer >= 2, got 1"),
+        ("oracle-compare", ["--d", "1", *GRID, "--measure", "mi"],
+         "local dimension must be an integer >= 2, got 1"),
+        ("oracle-compare", ["--d", "2", "--start", "0.5", "--stop", "1.5", "--step", "0.5",
+                            "--measure", "mi"], "lam must lie in [0, 1], got 1.5"),
+        ("oracle-compare", ["--family", "pp", "--d", "3", "--schmidt", "0.8,0.6", *GRID,
+                            "--measure", "mi"], "Schmidt vector has length 2, expected 3"),
+        ("oracle-compare", ["--d", "2", *GRID, "--measure", "gd"],
+         "measure(s) gd have no closed form for family 'werner'"),
+    ], ids=[f"{command}-{error}" for command, errors in [
+        ("compute", 4), ("sweep", 4), ("figure", 1), ("oracle-compare", 4)]
+        for error in ["dimension", "grid", "schmidt", "measure"][:errors]])
+    def test_bad_request_exits_3_before_any_closed_form(self, command, argv, message,
+                                                       tmp_path, capsys, closed_calls):
+        family = [] if command == "figure" or "--family" in argv else ["--family", "werner"]
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli([command, *family, *argv, "--out", str(path)], capsys)
+        assert (code, out, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # a request with a bad grid, Schmidt vector or optimizer flag names that error
+        # before a measure without a closed form: the grid and the Schmidt vector are
+        # arguments of the one check that looks the measures up
+        (["sweep", "--family", "werner", "--d", "2", "--start", "0", "--stop", "1",
+          "--step", "0", "--measures", "gd"], "grid step must be positive"),
+        (["oracle-compare", "--family", "werner", "--d", "2", "--start", "0", "--stop", "1",
+          "--step", "0", "--measure", "gd"], "grid step must be positive"),
+        (["compute", "--family", "pp", "--d", "2", "--alpha", "0.5", "--schmidt", "0,0",
+          "--normalize", "--measures", "eof"], "Schmidt amplitudes must not all vanish"),
+        (["sweep", "--family", "pp", "--d", "2", "--schmidt", "0,0", "--normalize",
+          "--start", "0", "--stop", "1", "--step", "0.5", "--measures", "eof"],
+         "Schmidt amplitudes must not all vanish"),
+        (["oracle-compare", "--family", "werner", "--d", "2", "--start", "0", "--stop", "1",
+          "--step", "0.5", "--measure", "gd", "--restarts", "0"], "restarts must be >= 1"),
+    ], ids=["sweep-grid", "oracle-compare-grid", "compute-schmidt", "sweep-schmidt",
+            "oracle-compare-restarts"])
+    def test_two_errors_name_the_one_before_the_measures(self, argv, message, capsys,
+                                                         closed_calls):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
 
 
 class TestGrid:
