@@ -569,8 +569,9 @@ def conjecture_sweep(samples: int, d_range: tuple[int, int], seed: int) -> Conje
         if index % 20 == 0 and d <= cross_check_dmax:
             rho = build_pseudo_pure(params)
             cfg = replace(cross_check, seed=int(np.random.SeedSequence([seed, index]).generate_state(1)[0]))
-            max_gd_gap = max(max_gd_gap, abs(gd_numeric(rho, cfg) - gd))
-            max_neg_gap = max(max_neg_gap, abs(negativity_numeric(rho) - neg))
+            # np.maximum carries a nan gap, where max would keep whichever argument came first
+            max_gd_gap = float(np.maximum(max_gd_gap, abs(gd_numeric(rho, cfg) - gd)))
+            max_neg_gap = float(np.maximum(max_neg_gap, abs(negativity_numeric(rho) - neg)))
             checked += 1
     return ConjectureReport(
         samples=samples,

@@ -431,6 +431,16 @@ class TestOracleCompare:
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[-1]) <= 1e-9
 
+    def test_nan_gap_fails(self, capsys, monkeypatch):
+        # a nan gap is no agreement: it makes max_gap nan, which no tolerance admits
+        monkeypatch.setattr(oracle, "mutual_information_numeric", lambda rho: math.nan)
+        code, out, err = run_cli(
+            ["oracle-compare", "--family", "werner", "--d", "2", "--measure", "mi",
+             "--start", "0", "--stop", "1", "--step", "0.5"], capsys)
+        assert code == cli.EXIT_FAILURE
+        assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["nan", "nan"]] * 3
+        assert err == "oracle-compare werner d=2 mi: max_gap=nan tolerance=1e-06 fail\n"
+
     def test_envelope_exceeded_is_exit_3(self, capsys):
         code, _, _ = run_cli(
             ["oracle-compare", "--family", "isotropic", "--d", "9", "--measure", "discord",

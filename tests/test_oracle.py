@@ -827,6 +827,14 @@ class TestConjectureSweep:
         assert report() == expected
         assert json.loads(expected)["checked"] == 5
 
+    @pytest.mark.parametrize("route, field", [("gd_numeric", "max_gd_gap"),
+                                              ("negativity_numeric", "max_negativity_gap")])
+    def test_nan_cross_check_is_reported(self, route, field, monkeypatch):
+        # a nan gap is no agreement, so the maximum carries it
+        monkeypatch.setattr(oracle, route, lambda *a: math.nan)
+        report = conjecture_sweep(40, (2, 4), 0)
+        assert report.checked == 2 and math.isnan(getattr(report, field))
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             conjecture_sweep(10, (1, 3), seed=0)
