@@ -62,12 +62,16 @@ def check_envelope(row: str, size) -> None:
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:
-    """Return M as a square complex array, or raise if it is not Hermitian.
+    """Return M as a square complex array, or raise if it has a non-finite
+    entry or is not Hermitian.
 
-    The check is relative: max|M - M^dag| <= 1e-12 * max|M|.
+    The check is relative: max|M - M^dag| <= 1e-12 * max|M|, so it needs a
+    finite max|M|, which a nan or infinite entry makes nan or inf.
     """
     A = _as_square(M, name)
     scale = np.abs(A).max() if A.size else 0.0
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} has a non-finite entry")
     if np.abs(A - A.conj().T).max() > HERMITICITY_RTOL * scale:
         raise ValueError(f"{name} is not Hermitian within tolerance")
     return A

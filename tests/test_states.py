@@ -346,6 +346,19 @@ class TestOneHermiticityCheck:
             DensityMatrix(m, (2, 2))
 
 
+class TestNonFiniteState:
+    @pytest.mark.parametrize("matrix", [
+        np.diag([math.nan, 1.0, 0.0, 0.0]),  # unchecked, its entropy reads 0.0
+        np.full((4, 4), math.nan),  # unchecked, eigvalsh raises LinAlgError
+        np.diag([math.inf, 1.0, 0.0, 0.0]),  # unchecked, it warns, then fails the trace
+        # unchecked, an infinite difference passes against an infinite scale: entropy 1.0
+        np.where(np.eye(4, k=1) == 1, complex(0, math.inf), np.diag([0.5, 0.5, 0.0, 0.0])),
+    ], ids=["nan-diagonal", "all-nan", "inf-diagonal", "inf-off-diagonal"])
+    def test_rejected_before_the_hermiticity_check(self, matrix):
+        with pytest.raises(ValueError, match="^state has a non-finite entry$"):
+            DensityMatrix(matrix, (2, 2))
+
+
 class TestNonFiniteSchmidt:
     def test_rejected_by_both_validators(self):
         # every length 2-6, every position, every non-finite value
