@@ -350,25 +350,25 @@ def cmd_sweep(parser, args) -> int:
     return EXIT_OK
 
 
-# Figure name -> (family, column label, measures, extra column). Each
-# dimension gets a column holding the closed form of the first measure minus
-# those of the others; the optional extra column is a function of the grid
-# value alone.
+# Figure name -> (family, column label, measures, default dimensions, extra
+# column). Each dimension gets a column holding the closed form of the first
+# measure minus those of the others; the optional extra column is a function
+# of the grid value alone.
 _FIGURES = {
-    "fig1": ("werner", "discord", ("discord",), None),
-    "fig2": ("werner", "cc", ("cc",), None),
-    "fig3": ("werner", "discord", ("discord",), ("eof", lambda lam: cf.werner_eof(lam))),
-    "fig4": ("isotropic", "discord", ("discord",), None),
-    "fig5": ("isotropic", "cc", ("cc",), None),
-    "fig6": ("isotropic", "diff", ("discord", "cc"),
+    "fig1": ("werner", "discord", ("discord",), (2, 3, 10, 50), None),
+    "fig2": ("werner", "cc", ("cc",), (2, 3, 10, 50), None),
+    "fig3": ("werner", "discord", ("discord",), (2, 50), ("eof", lambda lam: cf.werner_eof(lam))),
+    "fig4": ("isotropic", "discord", ("discord",), (2, 3, 10, 50), None),
+    "fig5": ("isotropic", "cc", ("cc",), (2, 3, 10, 50), None),
+    "fig6": ("isotropic", "diff", ("discord", "cc"), (2, 3, 10, 50),
              ("binary_entropy", lambda alpha: cf.binary_entropy(alpha))),
 }
 
 
 def cmd_figure(parser, args) -> int:
     _check_out(args.out)
-    family, label, measures, extra = _FIGURES[args.name]
-    dims = args.dims or ([2, 50] if args.name == "fig3" else [2, 3, 10, 50])
+    family, label, measures, defaults, extra = _FIGURES[args.name]
+    dims = args.dims or defaults
     grid = np.arange(101) / 100.0
     chunks = _closed_chunks(family, dims, grid, None, measures)
     header = [FAMILIES[family].param] + [f"{label}_d{d}" for d in dims]
