@@ -351,12 +351,6 @@ class TestFigure:
             cells = row.split(",")
             assert cells[1] == cells[len(dims.split(","))]  # the first and last d are equal
 
-    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"])
-    def test_default_dimensions(self, name, capsys):
-        code, out, _ = run_cli(["figure", name], capsys)
-        dims = "2,50" if name == "fig3" else "2,3,10,50"
-        assert (code, out) == (0, run_cli(["figure", name, "--dims", dims], capsys)[1])
-
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(["figure", "fig4", "--out", str(a)], capsys)[0] == 0
