@@ -340,16 +340,17 @@ class TestFigure:
                 assert href == pytest.approx(1.0, abs=1e-12)
                 assert abs(diff - href) <= 0.2
 
-    @pytest.mark.parametrize("name, dims", [("fig1", "2,2"), ("fig6", "3,2,3")])
-    def test_repeated_dimension_keeps_its_columns(self, name, dims, capsys):
+    @pytest.mark.parametrize("name, dims, header", [
+        ("fig1", "2,2", "lambda,discord_d2,discord_d2"),
+        ("fig6", "3,2,3", "alpha,diff_d3,diff_d2,diff_d3,binary_entropy"),
+    ])
+    def test_repeated_dimension_keeps_its_columns(self, name, dims, header, capsys):
         code, out, _ = run_cli(["figure", name, "--dims", dims], capsys)
-        header, *rows = out.splitlines()
-        assert code == 0 and len(rows) == 101
-        assert header.split(",")[1:-1 if name == "fig6" else None] == [
-            f"{'diff' if name == 'fig6' else 'discord'}_d{d}" for d in dims.split(",")]
-        for row in rows:
-            cells = row.split(",")
-            assert cells[1] == cells[len(dims.split(","))]  # the first and last d are equal
+        first, *rows = out.splitlines()
+        assert (code, first, len(rows)) == (0, header, 101)
+        for i, d in enumerate(dims.split(","), 1):  # column i is the figure at that d alone
+            alone = run_cli(["figure", name, "--dims", d], capsys)[1].splitlines()[1:]
+            assert [r.split(",")[i] for r in rows] == [r.split(",")[1] for r in alone]
 
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
