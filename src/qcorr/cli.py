@@ -49,8 +49,9 @@ EXIT_VIOLATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer that SIGPIPE ended
 
 # compute, sweep, figure and oracle-compare call each closed form through
-# _closed_chunks, on max(1, _CHUNK_FLOATS // d) grid values at a time: an array
-# call holds O(values * d), so memory stays O(d + chunk) at any d.
+# _closed_chunks, on max(1, _CHUNK_FLOATS // max(w, 32)) grid values at a time, w the
+# length of the record's Schmidt vector (0 for Werner): an array call holds
+# O(values * w), and 32 caps the rows rendered at once, so memory stays O(w + chunk).
 _CHUNK_FLOATS = 1 << 16
 
 CSV_HEADER = "family,d,param_name,param_value,measure,value,method"
@@ -194,15 +195,6 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
     return points
 
 
-def _check_envelope(d: int, measures: list[str], cfg: oracle.OptimizerConfig) -> None:
-    """Raise the error the oracle raises for `measures` at dimension d, before
-    any state is built or start drawn: every state is a dense d^2 x d^2 matrix,
-    and a measure that optimizes runs the basis search that oracle.check_search bounds."""
-    linalg.check_envelope("state side", d * d)
-    if any(MEASURES[m].optimizes for m in measures):
-        oracle.check_search((d, d), cfg)
-
-
 def _require_schmidt(parser: argparse.ArgumentParser, args) -> None:
     if args.family == "pp" and args.schmidt is None:
         parser.error("family pp requires --schmidt")
@@ -257,27 +249,40 @@ def _write(parts: Iterable[str], path: str | None) -> None:
             handle.writelines(parts)
 
 
-def _closed_chunks(family: str, dims, grid: np.ndarray, u, measures):
+def _closed_chunks(family: str, dims, grid: np.ndarray, u, measures, cfg=None):
     """Check the whole request, then return the generator of (d, grid values,
     one array of results per measure in `measures`) over each d of `dims` in
-    turn, one chunk of max(1, _CHUNK_FLOATS // d) grid values at a time.
+    turn, one chunk of max(1, _CHUNK_FLOATS // max(w, 32)) grid values at a
+    time, w the length of the record's Schmidt vector (0 for Werner). A
+    dimension whose grid is one chunk of at most _CHUNK_FLOATS // max(w, 32)
+    values is evaluated on the record that checked it, so the records kept
+    between the check and the work hold O(_CHUNK_FLOATS) floats each.
 
     Raises before any closed form runs if a measure has no closed form for the
-    family, or if a dimension, a grid value or the Schmidt vector u is invalid."""
+    family, or if a dimension, a grid value or the Schmidt vector u is invalid;
+    with the OptimizerConfig cfg of numeric rows, also if a d^2 x d^2 state, or
+    the basis search of a measure that optimizes, exceeds the envelope."""
     fam = FAMILIES[family]
     fns = [getattr(MEASURES[m], fam.route) for m in measures]
     if bad := [m for m, fn in zip(measures, fns) if fn is None]:
         raise ValueError(f"measure(s) {', '.join(bad)} have no closed form for family {family!r}")
+    plans = []
     for d in dims:
-        fam.params(d, grid, u)
+        record = fam.params(d, grid, u)
+        width = max(len(getattr(record, "schmidt", ())), 32)
+        whole = len(grid) * width <= _CHUNK_FLOATS
+        plans.append((d, max(1, _CHUNK_FLOATS // width), record if whole else None))
+        if cfg is not None:
+            linalg.check_envelope("state side", d * d)
+            if any(MEASURES[m].optimizes for m in measures):
+                oracle.check_search((d, d), cfg)
 
-    def chunk(d, values):
-        params = fam.params(d, values, u)
-        return d, values, [fn(params) for fn in fns]
+    def chunk(d, values, record):
+        record = record or fam.params(d, values, u)
+        return d, values, [fn(record) for fn in fns]
 
-    sizes = [max(1, _CHUNK_FLOATS // d) for d in dims]
-    return (chunk(d, grid[lo:lo + size])
-            for d, size in zip(dims, sizes) for lo in range(0, len(grid), size))
+    return (chunk(d, grid[lo:lo + size], record)
+            for d, size, record in plans for lo in range(0, len(grid), size))
 
 
 def _render(template: str, cells: np.ndarray) -> str:
@@ -313,9 +318,7 @@ def cmd_compute(parser, args) -> int:
     if value is None:
         raise ValueError(f"family {args.family} requires --{family.param}")
     u = _schmidt_vector(args)
-    chunks = _closed_chunks(args.family, [args.d], np.array([value]), u, args.measures)
-    if args.numeric:
-        _check_envelope(args.d, args.measures, cfg)
+    chunks = _closed_chunks(args.family, [args.d], np.array([value]), u, args.measures, cfg)
     [(_, _, columns)] = chunks
     results = {"closed": [(m, column[0]) for m, column in zip(args.measures, columns)]}
     numeric = [m for m in args.measures if args.numeric and MEASURES[m].oracle is not None]
@@ -398,8 +401,7 @@ def cmd_oracle_compare(parser, args) -> int:
     tolerance = MEASURES[measure].tolerance
     cfg = _optimizer_config(args)
     grid = _grid(args.start, args.stop, args.step)
-    chunks = _closed_chunks(args.family, [d], grid, u, [measure])
-    _check_envelope(d, [measure], cfg)
+    chunks = _closed_chunks(args.family, [d], grid, u, [measure], cfg)
     closed = np.concatenate([r for _, _, (r,) in chunks])
     points = (OraclePoint(family.state(family.params(d, x, u)), cfg) for x in grid.tolist())
     numeric = np.array([MEASURES[measure].oracle(point) for point in points])

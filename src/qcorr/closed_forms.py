@@ -13,8 +13,9 @@ term by term under the 0 * log 0 = 0 convention.
 The mixing parameter (lam, or alpha in the parameter record) is a float or
 a 1-D array of n values. A float gives a float; an array gives an array of
 n values, each with the bits of the float call at that value. An array
-call holds O(n d) memory; the CLI hands the closed forms chunks of its grid
-so that a sweep stays at O(d + chunk).
+call holds O(n d) memory, O(n) for the Werner forms; the CLI hands the
+closed forms chunks of its grid sized by the Schmidt vector's length, so
+that a sweep stays at O(d + chunk).
 """
 
 from __future__ import annotations

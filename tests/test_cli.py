@@ -253,6 +253,22 @@ class TestSweep:
         assert path.read_text().count("\n") == 1 + 5 * 16385
         assert peak < 4 * 2**20
 
+    def test_werner_chunks_do_not_shrink_with_d(self, capsys, monkeypatch):
+        # a Werner record holds no vector, so its chunks are as long at d = 10^8 as at d = 2
+        sizes, chunks = {}, cli._closed_chunks
+
+        def counted(family, dims, *rest):
+            for d, values, results in chunks(family, dims, *rest):
+                sizes.setdefault(d, []).append(len(values))
+                yield d, values, results
+
+        monkeypatch.setattr(cli, "_closed_chunks", counted)
+        code, out, _ = run_cli(["sweep", "--family", "werner", "--d", "2,100000000",
+                                "--start", "0", "--stop", "1", "--step", "1e-4",
+                                "--measures", "discord,cc"], capsys)
+        assert (code, out.count("\n")) == (0, 1 + 2 * 2 * 10001)
+        assert sizes[2] == sizes[100000000] and len(sizes[2]) > 1
+
 
 def _neighbours(x):
     return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
@@ -1039,6 +1055,28 @@ class TestOneClosedPath:
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
 
+    @pytest.mark.parametrize("family, argv, records", [
+        ("werner", ["sweep", "--family", "werner", "--d", "2,3", *GRID, "--measures", "discord"],
+         2),
+        ("isotropic", ["compute", "--family", "isotropic", "--d", "3", "--alpha", "0.3",
+                       "--measures", "discord,cc"], 1),
+        ("pp", ["compute", "--family", "pp", "--d", "3", "--alpha", "0.3", "--schmidt",
+                "0.8,0.6,0", "--measures", "mi", "--numeric"], 2),
+    ], ids=["sweep", "compute", "compute-numeric"])
+    def test_one_record_per_dimension_and_state(self, family, argv, records, capsys,
+                                                monkeypatch):
+        # a grid of one chunk is evaluated on the record that checked it; a numeric row
+        # adds the record of its one state
+        calls, fam = [], cli.FAMILIES[family]
+
+        def counted(*args):
+            calls.append(args)
+            return fam.params(*args)
+
+        monkeypatch.setitem(cli.FAMILIES, family, fam._replace(params=counted))
+        code, _, _ = run_cli(argv, capsys)
+        assert (code, len(calls)) == (0, records)
+
 
 class TestGrid:
     CAP = linalg.ENVELOPE["grid points"]
@@ -1134,13 +1172,14 @@ class TestEnvelope:
             cli.main(argv(largest(linalg.ENVELOPE[row])))
 
     @pytest.mark.parametrize("row", ENVELOPE_REQUESTS)
-    def test_request_outside_exits_3_before_the_work(self, row, monkeypatch, tmp_path, capsys):
+    def test_request_outside_exits_3_before_the_work(self, row, monkeypatch, tmp_path, capsys,
+                                                     closed_calls):
         (module, name), argv, largest = ENVELOPE_REQUESTS[row]
         monkeypatch.setattr(module, name, _reach)
         limit = linalg.ENVELOPE[row]
         path = tmp_path / "x.csv"
         code, out, err = run_cli([*argv(largest(limit) + 1), "--out", str(path)], capsys)
-        assert (code, out) == (3, "")
+        assert (code, out, closed_calls) == (3, "", [])
         assert err.startswith(f"qcorr: {row} ") and err.endswith(f" exceeds the envelope {limit}\n")
         assert not path.exists()
 
@@ -1151,7 +1190,7 @@ class TestEnvelope:
          "--start", "0.5", "--stop", "0.5", "--step", "0.1"],
     ], ids=["compute", "oracle-compare"])
     def test_restarts_beyond_memory_exit_3_before_any_start(self, argv, monkeypatch, tmp_path,
-                                                            capsys):
+                                                            capsys, closed_calls):
         # the seed list and the Ginibre draws of 10^11 restarts grew past a 20 s timeout
         monkeypatch.setattr(oracle, "random_unitaries", _reach)
         monkeypatch.setattr(cli, "build_pseudo_pure", _reach)
@@ -1161,7 +1200,7 @@ class TestEnvelope:
                                  capsys)
         assert time.perf_counter() - start < 1.0
         limit = linalg.ENVELOPE["basis search entries"]
-        assert (code, out) == (3, "")
+        assert (code, out, closed_calls) == (3, "", [])
         assert err == f"qcorr: basis search entries 8100000000000 exceeds the envelope {limit}\n"
         assert not path.exists()
 

@@ -145,7 +145,8 @@ def test_stdout_digest(name, capsys):
 @pytest.mark.parametrize("name", [n for n in GOLDEN
                                   if n.startswith(("sweep", "figure", "oracle-compare"))])
 def test_digest_with_the_grid_in_chunks(name, chunk_floats, capsys, monkeypatch):
-    # each dimension's grid is evaluated in chunks of chunk_floats // d values (at least one)
+    # each dimension's grid is evaluated in chunks of chunk_floats // max(w, 32) values (at
+    # least one), w the length of the Schmidt vector (0 for Werner)
     monkeypatch.setattr(cli, "_CHUNK_FLOATS", chunk_floats)
     test_stdout_digest(name, capsys)
 
