@@ -253,10 +253,11 @@ def _closed_chunks(family: str, dims, grid: np.ndarray, u, measures, cfg=None):
     """Check the whole request, then return the generator of (d, grid values,
     one array of results per measure in `measures`) over each d of `dims` in
     turn, one chunk of max(1, _CHUNK_FLOATS // max(w, 32)) grid values at a
-    time, w the length of the record's Schmidt vector (0 for Werner). A
-    dimension whose grid is one chunk of at most _CHUNK_FLOATS // max(w, 32)
-    values is evaluated on the record that checked it, so the records kept
-    between the check and the work hold O(_CHUNK_FLOATS) floats each.
+    time, w = d for the pp and isotropic records (their Schmidt vector) and 0
+    for Werner. A request of one dimension whose grid is one chunk, such as
+    compute's, is evaluated on the record that checked it; with more
+    dimensions each record is dropped after its check, so memory stays O(d)
+    however many dimensions the request holds.
 
     Raises before any closed form runs if a measure has no closed form for the
     family, or if a dimension, a grid value or the Schmidt vector u is invalid;
@@ -269,9 +270,8 @@ def _closed_chunks(family: str, dims, grid: np.ndarray, u, measures, cfg=None):
     plans = []
     for d in dims:
         record = fam.params(d, grid, u)
-        width = max(len(getattr(record, "schmidt", ())), 32)
-        whole = len(grid) * width <= _CHUNK_FLOATS
-        plans.append((d, max(1, _CHUNK_FLOATS // width), record if whole else None))
+        size = max(1, _CHUNK_FLOATS // max(d if fam.route == "pp" else 0, 32))
+        plans.append((d, size, record if len(dims) == 1 and len(grid) <= size else None))
         if cfg is not None:
             linalg.check_envelope("state side", d * d)
             if any(MEASURES[m].optimizes for m in measures):

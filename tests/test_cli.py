@@ -236,6 +236,23 @@ class TestSweep:
         assert (code, out.count("\n")) == (0, 1 + 2 * 81)
         assert peak < 8 * 2**20
 
+    def test_memory_bounded_over_many_large_d(self, capsys):
+        # one alpha at each of 40 dimensions near 60000, each isotropic record holding its
+        # own Schmidt vector: the traced peak is about 2.5 MiB; every record kept from the
+        # check to the work peaked at 20.4 MiB
+        dims = ",".join(str(60000 + k) for k in range(40))
+        argv = ["sweep", "--family", "isotropic", "--d", dims,
+                "--start", "0.3", "--stop", "0.3", "--step", "1", "--measures", "discord,cc"]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, _ = capsys.readouterr()
+        assert (code, out.count("\n")) == (0, 1 + 2 * 40)
+        assert peak < 6 * 2**20
+
     def test_rows_are_written_chunk_by_chunk(self, tmp_path, capsys):
         # 16385 lambdas at d = 64, five rows each, written one chunk of 1024 lambdas at a
         # time: the traced peak is about 1.7 MiB; the whole table held at once took 18.7 MiB
@@ -1056,17 +1073,20 @@ class TestOneClosedPath:
         assert (code, out, err, closed_calls) == (3, "", f"qcorr: {message}\n", [])
 
     @pytest.mark.parametrize("family, argv, records", [
+        ("werner", ["sweep", "--family", "werner", "--d", "3", *GRID, "--measures", "discord"],
+         1),
         ("werner", ["sweep", "--family", "werner", "--d", "2,3", *GRID, "--measures", "discord"],
-         2),
+         4),
         ("isotropic", ["compute", "--family", "isotropic", "--d", "3", "--alpha", "0.3",
                        "--measures", "discord,cc"], 1),
         ("pp", ["compute", "--family", "pp", "--d", "3", "--alpha", "0.3", "--schmidt",
                 "0.8,0.6,0", "--measures", "mi", "--numeric"], 2),
-    ], ids=["sweep", "compute", "compute-numeric"])
-    def test_one_record_per_dimension_and_state(self, family, argv, records, capsys,
-                                                monkeypatch):
-        # a grid of one chunk is evaluated on the record that checked it; a numeric row
-        # adds the record of its one state
+    ], ids=["sweep", "sweep-dims", "compute", "compute-numeric"])
+    def test_one_dimension_reuses_its_checking_record(self, family, argv, records, capsys,
+                                                      monkeypatch):
+        # a one-chunk grid at one dimension is evaluated on the record that checked it, and
+        # a numeric row adds the record of its one state; with more dimensions each record
+        # is dropped after its check and built again for the work
         calls, fam = [], cli.FAMILIES[family]
 
         def counted(*args):
