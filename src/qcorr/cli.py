@@ -249,40 +249,49 @@ def _write(parts: Iterable[str], path: str | None) -> None:
             handle.writelines(parts)
 
 
-def _closed_chunks(family: str, dims, grid: np.ndarray, u, measures, cfg=None):
+def _closed_chunks(family: str, dims, grid: np.ndarray, u, measures):
     """Check the whole request, then return the generator of (d, grid values,
     one array of results per measure in `measures`) over each d of `dims` in
     turn, one chunk of max(1, _CHUNK_FLOATS // max(w, 32)) grid values at a
     time, w = d for the pp and isotropic records (their Schmidt vector) and 0
-    for Werner. A request of one dimension whose grid is one chunk, such as
-    compute's, is evaluated on the record that checked it; with more
-    dimensions each record is dropped after its check, so memory stays O(d)
-    however many dimensions the request holds.
+    for Werner.
 
     Raises before any closed form runs if a measure has no closed form for the
-    family, or if a dimension, a grid value or the Schmidt vector u is invalid;
-    with the OptimizerConfig cfg of numeric rows, also if a d^2 x d^2 state, or
-    the basis search of a measure that optimizes, exceeds the envelope."""
+    family, or if a dimension, a grid value or the Schmidt vector u is invalid:
+    the whole-grid record of each d checks them and is dropped, and each chunk
+    builds its own record, so memory stays O(d + chunk) however many
+    dimensions the request holds."""
     fam = FAMILIES[family]
     fns = [getattr(MEASURES[m], fam.route) for m in measures]
     if bad := [m for m, fn in zip(measures, fns) if fn is None]:
         raise ValueError(f"measure(s) {', '.join(bad)} have no closed form for family {family!r}")
-    plans = []
     for d in dims:
-        record = fam.params(d, grid, u)
+        fam.params(d, grid, u)
+
+    def chunks(d):
         size = max(1, _CHUNK_FLOATS // max(d if fam.route == "pp" else 0, 32))
-        plans.append((d, size, record if len(dims) == 1 and len(grid) <= size else None))
-        if cfg is not None:
-            linalg.check_envelope("state side", d * d)
-            if any(MEASURES[m].optimizes for m in measures):
-                oracle.check_search((d, d), cfg)
+        for lo in range(0, len(grid), size):
+            record = fam.params(d, grid[lo:lo + size], u)
+            yield d, grid[lo:lo + size], [fn(record) for fn in fns]
 
-    def chunk(d, values, record):
-        record = record or fam.params(d, values, u)
-        return d, values, [fn(record) for fn in fns]
+    return (chunk for d in dims for chunk in chunks(d))
 
-    return (chunk(d, grid[lo:lo + size], record)
-            for d, size, record in plans for lo in range(0, len(grid), size))
+
+def _oracle_points(family: Family, d: int, values, u, measures, cfg):
+    """Check the numeric rows of `measures`, the requested measures that have
+    an oracle route, at dimension d, then return the generator of one
+    OraclePoint per value of `values` under the OptimizerConfig cfg, each
+    state built when it is reached.
+
+    Raises before any state is built or start drawn if a d^2 x d^2 state, or
+    the basis search of a measure that optimizes, exceeds the envelope; with
+    no measure it checks nothing, so a request whose measures have no oracle
+    route is refused by no numeric row."""
+    if measures:
+        linalg.check_envelope("state side", d * d)
+    if any(MEASURES[m].optimizes for m in measures):
+        oracle.check_search((d, d), cfg)
+    return (OraclePoint(family.state(family.params(d, x, u)), cfg) for x in values)
 
 
 def _render(template: str, cells: np.ndarray) -> str:
@@ -318,13 +327,13 @@ def cmd_compute(parser, args) -> int:
     if value is None:
         raise ValueError(f"family {args.family} requires --{family.param}")
     u = _schmidt_vector(args)
-    chunks = _closed_chunks(args.family, [args.d], np.array([value]), u, args.measures, cfg)
+    chunks = _closed_chunks(args.family, [args.d], np.array([value]), u, args.measures)
+    numeric = [m for m in args.measures if args.numeric and MEASURES[m].oracle is not None]
+    points = _oracle_points(family, args.d, [value], u, numeric, cfg)
     [(_, _, columns)] = chunks
     results = {"closed": [(m, column[0]) for m, column in zip(args.measures, columns)]}
-    numeric = [m for m in args.measures if args.numeric and MEASURES[m].oracle is not None]
     if numeric:  # a state is built only for a measure with an oracle route
-        point = OraclePoint(family.state(family.params(args.d, value, u)), cfg)
-        results["numeric"] = [(m, MEASURES[m].oracle(point)) for m in numeric]
+        results["numeric"] = [(m, MEASURES[m].oracle(pt)) for pt in points for m in numeric]
     if args.format == "json":
         head = (args.family, args.d, family.param, value)
         payload = [dict(zip(CSV_HEADER.split(","), (*head, m, result, method)))
@@ -401,9 +410,9 @@ def cmd_oracle_compare(parser, args) -> int:
     tolerance = MEASURES[measure].tolerance
     cfg = _optimizer_config(args)
     grid = _grid(args.start, args.stop, args.step)
-    chunks = _closed_chunks(args.family, [d], grid, u, [measure], cfg)
+    chunks = _closed_chunks(args.family, [d], grid, u, [measure])
+    points = _oracle_points(family, d, grid.tolist(), u, [measure], cfg)
     closed = np.concatenate([r for _, _, (r,) in chunks])
-    points = (OraclePoint(family.state(family.params(d, x, u)), cfg) for x in grid.tolist())
     numeric = np.array([MEASURES[measure].oracle(point) for point in points])
     gaps = np.abs(closed - numeric)
     max_gap = float(gaps.max())  # nan when any gap is nan, so a nan cell fails

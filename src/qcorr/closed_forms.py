@@ -194,10 +194,10 @@ def pp_classical_correlations(p: PseudoPureParams):
 
 def pp_discord_asymptote(alpha, u):
     """Large-d limit of the pseudo-pure discord: alpha times the reduced
-    entropy of the pure part."""
+    entropy of the pure part (+0.0, not -0.0, for a product vector)."""
     _check_unit("alpha", alpha)
     probs = validate_schmidt(u) ** 2
-    return _out(np.asarray(alpha, dtype=float) * (-_sum_xlog2(probs)))
+    return _out(0.0 - np.asarray(alpha, dtype=float) * _sum_xlog2(probs))
 
 
 def pp_second_derivative(p: PseudoPureParams):

@@ -5,7 +5,10 @@ minimization over rank-one projective measurement bases for discord and
 geometric discord, spectral negativity, optimal-measurement structure
 checks, and ensemble sweeps of the geometric-discord/negativity
 inequality. Together these provide an independent numerical route against
-which every closed form in the package is cross-checked.
+which the closed forms of discord, classical correlations, mutual
+information, geometric discord and negativity are cross-checked; the
+entanglement of formation and the large-d discord asymptotes have no oracle
+route.
 
 The measurement search is restricted to orthonormal (rank-one projective)
 bases on the measured side; for states outside the implemented families

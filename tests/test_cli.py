@@ -145,18 +145,28 @@ class TestCompute:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_numeric_builds_no_state_without_an_oracle_route(self, fmt, capsys, monkeypatch):
-        # eof and asymptote have no oracle route: building the d = 40 state took about 2 s for nothing
-        argv = ["compute", "--family", "werner", "--d", "40", "--lambda", "0.3",
-                "--measures", "eof,asymptote", "--format", fmt]
-        expected = run_cli(argv, capsys)
-
+        # eof and asymptote have no oracle route: building the d = 40 state took about 2 s for
+        # nothing, and the d^2 = 4225 state side of d = 65, which no row builds, refused the request
         def refuse(params):
             raise AssertionError("state built")
 
-        monkeypatch.setattr(cli, "build_werner", refuse)
-        monkeypatch.setattr(cli, "build_pseudo_pure", refuse)
-        assert run_cli(argv + ["--numeric"], capsys) == expected
-        assert expected[0] == 0
+        for d in ("40", "65"):
+            argv = ["compute", "--family", "werner", "--d", d, "--lambda", "0.3",
+                    "--measures", "eof,asymptote", "--format", fmt]
+            expected = run_cli(argv, capsys)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "build_werner", refuse)
+                patch.setattr(cli, "build_pseudo_pure", refuse)
+                assert run_cli(argv + ["--numeric"], capsys) == expected
+            assert expected[0] == 0
+
+    @pytest.mark.parametrize("alpha", ["0", "0.5", "1"])
+    def test_product_schmidt_asymptote_prints_zero(self, alpha, capsys):
+        # a product vector's reduced entropy is 0, and alpha times its negation printed -0
+        code, out, err = run_cli(["compute", "--family", "pp", "--d", "2", "--alpha", alpha,
+                                  "--schmidt", "1,0", "--measures", "asymptote"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"pp,2,alpha,{alpha},asymptote,0,closed"
 
     def test_unnormalized_schmidt_rejected(self, capsys):
         code, _, err = run_cli(
@@ -1074,19 +1084,17 @@ class TestOneClosedPath:
 
     @pytest.mark.parametrize("family, argv, records", [
         ("werner", ["sweep", "--family", "werner", "--d", "3", *GRID, "--measures", "discord"],
-         1),
+         2),
         ("werner", ["sweep", "--family", "werner", "--d", "2,3", *GRID, "--measures", "discord"],
          4),
         ("isotropic", ["compute", "--family", "isotropic", "--d", "3", "--alpha", "0.3",
-                       "--measures", "discord,cc"], 1),
+                       "--measures", "discord,cc"], 2),
         ("pp", ["compute", "--family", "pp", "--d", "3", "--alpha", "0.3", "--schmidt",
-                "0.8,0.6,0", "--measures", "mi", "--numeric"], 2),
+                "0.8,0.6,0", "--measures", "mi", "--numeric"], 3),
     ], ids=["sweep", "sweep-dims", "compute", "compute-numeric"])
-    def test_one_dimension_reuses_its_checking_record(self, family, argv, records, capsys,
-                                                      monkeypatch):
-        # a one-chunk grid at one dimension is evaluated on the record that checked it, and
-        # a numeric row adds the record of its one state; with more dimensions each record
-        # is dropped after its check and built again for the work
+    def test_records_built_per_request(self, family, argv, records, capsys, monkeypatch):
+        # each dimension's whole-grid record checks the request and is dropped, each chunk
+        # builds its own, and a numeric row adds the record of its one state
         calls, fam = [], cli.FAMILIES[family]
 
         def counted(*args):
@@ -1153,10 +1161,10 @@ def _reach(*args, **kwargs):
 # the request at a parameter n, and the largest n inside the limit). Both requests stop
 # at that function: the one at n + 1 must exit 3 before it.
 ENVELOPE_REQUESTS = {
-    "state side": (
+    "state side": (  # eof has no oracle route, but mi beside it builds the state
         (cli, "build_werner"),
         lambda d: ["compute", "--family", "werner", "--d", str(d), "--lambda", "0.3",
-                   "--measures", "mi", "--numeric"],
+                   "--measures", "eof,mi", "--numeric"],
         math.isqrt),
     "measured dimension": (
         (cli, "build_werner"),
